@@ -201,29 +201,26 @@ def resolve_rate_regime(cfg):
     return resolve_rate_regime_flat(cfg.M, cfg.N, cfg.R)
 
 
-def _capacity_chunk_size(per_trial_cost):
-    """Trials per vectorized capacity evaluation (speed knob only)."""
-    return int(min(65536, max(1024, 4_000_000 // max(1, per_trial_cost))))
+_CHUNK_BYTES = 4 * 2**20
+_MAX_CHUNK = 65536
+
+
+def _capacity_chunk_size(n_bins, n_tx):
+    """Trials per capacity evaluation, from the bytes of its per-bin arrays.
+
+    A trial's per-bin Gram matrices hold ``K * M * M`` complex values; the
+    chunk keeps their total near `_CHUNK_BYTES` whatever M and K are, so
+    the memory of a kernel call is bounded and its temporaries stay in
+    cache (1024 trials at M = 2, K = 64).
+    """
+    per_trial = 16 * n_bins * n_tx * n_tx
+    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_trial))
 
 
 @dataclass(frozen=True)
-class _FlatOutageKernel:
-    n_tx: int
-    n_rx: int
-    rate: float
+class _OutageKernel:
+    """Counts capacity outages; ``n_taps == 1`` is flat fading."""
 
-    def __call__(self, rho, rng, n_trials):
-        channels = sample_complex_gaussian(self.n_rx, self.n_tx, rng, size=n_trials)
-        chunk = _capacity_chunk_size(self.n_tx * self.n_tx)
-        events = 0
-        for lo in range(0, n_trials, chunk):
-            cap = mmse.flat_capacity_batch(channels[lo:lo + chunk], rho)
-            events += int(np.count_nonzero(cap < self.rate))
-        return events
-
-
-@dataclass(frozen=True)
-class _SelectiveOutageKernel:
     n_tx: int
     n_rx: int
     n_taps: int
@@ -234,7 +231,9 @@ class _SelectiveOutageKernel:
     def __call__(self, rho, rng, n_trials):
         taps = sample_complex_gaussian(self.n_rx, self.n_tx, rng,
                                        size=(n_trials, self.n_taps))
-        chunk = _capacity_chunk_size(self.n_bins * self.n_tx * self.n_tx)
+        # a flat channel has one Gram matrix for every bin
+        bins = self.n_bins if self.n_taps > 1 else 1
+        chunk = _capacity_chunk_size(bins, self.n_tx)
         events = 0
         for lo in range(0, n_trials, chunk):
             cap = mmse.selective_capacity_batch(taps[lo:lo + chunk], rho,
@@ -258,12 +257,8 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     if np.any(np.diff(snr_db) <= 0.0):
         raise ConfigurationError("SNR grid must be strictly increasing")
     rho = 10.0 ** (snr_db / 10.0)
-    if cfg.selective:
-        kernel = _SelectiveOutageKernel(n_tx=cfg.M, n_rx=cfg.N, n_taps=cfg.L,
-                                        n_bins=cfg.K, rate=cfg.R,
-                                        scaling=cfg.scaling)
-    else:
-        kernel = _FlatOutageKernel(n_tx=cfg.M, n_rx=cfg.N, rate=cfg.R)
+    kernel = _OutageKernel(n_tx=cfg.M, n_rx=cfg.N, n_taps=cfg.L, n_bins=cfg.K,
+                           rate=cfg.R, scaling=cfg.scaling)
     return estimate_binomial_curve(kernel, rho, policy=policy,
                                    master_seed=master_seed, workers=workers,
                                    scenario=cfg.label(), snr_db_grid=snr_db)

@@ -1,13 +1,29 @@
 """Exact per-stream MMSE SINR and capacity for MIMO channels.
 
-Flat fading: the per-stream output MSE of the exact linear MMSE equalizer
-is the diagonal of ``(I + (rho/M) H^H H)^{-1}`` and the SINR of stream j is
-``1/mse_j - 1``.  Cyclic-prefix frequency-selective channels: the
-per-stream MSE is the average, over the K frequency bins of the length-K
-DFT of the tap sequence, of the per-bin diagonals of the same regularized
-inverse.  A time-domain construction on the explicit block-circulant
-channel operator is kept as an independent cross-check of the
-frequency-domain path (`selective_sinrs_oracle`).
+The per-stream output MSE of the exact linear MMSE equalizer is the
+diagonal of ``(I + c G)^{-1}`` with Gram matrix ``G = H^H H``, and the SINR
+of stream j is ``1/mse_j - 1``.  For a cyclic-prefix frequency-selective
+channel with N x M taps ``T_0, ..., T_{L-1}`` and block length K, the
+per-stream MSE is the average over the K DFT bins of the diagonal of
+``(I + c G(k))^{-1}``.  Only the per-bin Gram matrix enters, and it is a
+short trigonometric sum over the tap autocorrelation (the circulant
+structure of the cyclic-prefix channel)::
+
+    G(k) = H(k)^H H(k) = sum_{|d| < L} R_d exp(-2i pi k d / K),
+    R_d  = sum_l T_l^H T_{l+d},        R_{-d} = R_d^H.
+
+The capacity path therefore computes the L lag matrices ``R_d`` once per
+realization and turns them into per-bin Gram entries with one real matrix
+product against a (2L-1, K) cosine/sine basis; the K per-bin channel
+matrices ``H(k)`` are never formed.  For M <= 2 the Hermitian entries
+``G00``, ``G11`` and ``Re/Im G01`` are carried as real arrays.  Flat
+fading is the L = 1 case: the only lag is ``R_0 = H^H H``, every bin holds
+the same Gram matrix, and the bin transform is skipped.
+
+`transfer_function` (the per-bin DFT ``H(k)``) is kept as the public
+per-bin reference, and a time-domain construction on the explicit
+block-circulant channel operator (`selective_sinrs_oracle`) is an
+independent cross-check of both.
 
 Two conventions for the scaling constant ``c`` in ``I + c H^H H`` are
 supported for selective channels: ``"per-tap"`` uses ``rho / (M * L)``
@@ -34,8 +50,10 @@ __all__ = [
     "SCALING_CONVENTIONS",
     "block_circulant_operator",
     "capacity",
+    "collect_health",
     "flat_capacity_batch",
     "flat_sinrs",
+    "merge_health",
     "noise_scaling",
     "numerical_health",
     "selective_capacity_batch",
@@ -55,8 +73,45 @@ _health = {"evaluations": 0, "clamped_beyond_slack": 0}
 
 
 def numerical_health():
-    """Counters of SINR evaluations and clamps beyond the roundoff slack."""
+    """Counters of SINR evaluations and clamps beyond the roundoff slack.
+
+    A Monte Carlo sweep adds the counters of the blocks it consumes, in
+    whichever process they ran, so its totals do not depend on the worker
+    count (see `collect_health`).
+    """
     return dict(_health)
+
+
+def collect_health(fn, *args):
+    """Call ``fn(*args)`` on fresh counters; return ``(result, counters)``.
+
+    The global counters stay as they were and `NumericalHealthWarning` is
+    held back; `merge_health` accounts for the returned counters, possibly
+    in another process.
+    """
+    global _health
+    outer = _health
+    _health = dict.fromkeys(outer, 0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalHealthWarning)
+            return fn(*args), _health
+    finally:
+        _health = outer
+
+
+def merge_health(counters):
+    """Add counters returned by `collect_health`; warn again about their clamps."""
+    for key, value in counters.items():
+        _health[key] += value
+    if counters["clamped_beyond_slack"]:
+        warnings.warn(_clamp_warning(counters["clamped_beyond_slack"]), stacklevel=2)
+
+
+def _clamp_warning(count):
+    return NumericalHealthWarning(
+        f"{count} SINR value(s) below the {_NEG_SINR_SLACK} roundoff slack "
+        "were clamped to zero")
 
 
 def noise_scaling(rho, n_streams, n_taps=1, scaling="per-tap"):
@@ -71,6 +126,11 @@ def noise_scaling(rho, n_streams, n_taps=1, scaling="per-tap"):
         f"unknown scaling convention {scaling!r}; expected one of {SCALING_CONVENTIONS}")
 
 
+def _require_positive(pivot):
+    if not np.all(pivot > 0.0):
+        raise NumericalError("Cholesky factorization hit a nonpositive pivot")
+
+
 def _cholesky_lower(mats):
     """Batched lower Cholesky factor of Hermitian positive-definite stacks."""
     mats = np.asarray(mats, dtype=complex)
@@ -79,8 +139,7 @@ def _cholesky_lower(mats):
     for j in range(m):
         pivot = mats[..., j, j].real - np.sum(
             (lower[..., j, :j] * lower[..., j, :j].conj()).real, axis=-1)
-        if not np.all(pivot > 0.0):
-            raise NumericalError("Cholesky factorization hit a nonpositive pivot")
+        _require_positive(pivot)
         piv_root = np.sqrt(pivot)
         lower[..., j, j] = piv_root
         if j + 1 < m:
@@ -103,18 +162,21 @@ def _lower_triangular_inverse(lower):
     return inv
 
 
-def _diag_inverse_2x2(a, b, c):
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _diag_inverse_2x2(a, b_abs2, c):
     """Inverse diagonal of Hermitian PD [[a, b], [conj(b), c]], Cholesky form.
 
-    Order-2 Cholesky unrolled into whole-array operations: pivots are
-    ``a`` and ``c - |b|^2/a``; both must be positive.
+    Takes ``|b|^2`` for the off-diagonal entry.  Order-2 Cholesky unrolled
+    into whole-array operations: pivots are ``a`` and ``c - |b|^2/a``;
+    both must be positive.
     """
-    if not np.all(a > 0.0):
-        raise NumericalError("Cholesky factorization hit a nonpositive pivot")
-    off_sq = (b.real * b.real + b.imag * b.imag) / a
+    _require_positive(a)
+    off_sq = b_abs2 / a
     pivot = c - off_sq
-    if not np.all(pivot > 0.0):
-        raise NumericalError("Cholesky factorization hit a nonpositive pivot")
+    _require_positive(pivot)
     d1 = 1.0 / pivot
     d0 = (1.0 + off_sq * d1) / a
     return d0, d1
@@ -131,11 +193,10 @@ def spd_inverse_diagonal(mats):
     m = mats.shape[-1]
     if m == 1:
         pivot = mats[..., 0, 0].real
-        if not np.all(pivot > 0.0):
-            raise NumericalError("Cholesky factorization hit a nonpositive pivot")
+        _require_positive(pivot)
         return (1.0 / pivot)[..., None]
     if m == 2:
-        d0, d1 = _diag_inverse_2x2(mats[..., 0, 0].real, mats[..., 0, 1],
+        d0, d1 = _diag_inverse_2x2(mats[..., 0, 0].real, _abs2(mats[..., 0, 1]),
                                    mats[..., 1, 1].real)
         return np.stack([d0, d1], axis=-1)
     lower = _cholesky_lower(mats)
@@ -152,15 +213,15 @@ def _regularized_inverse_diagonal(h, c):
     m = h.shape[-1]
     if m == 1:
         col = h[..., 0]
-        power = np.sum(col.real * col.real + col.imag * col.imag, axis=-1)
+        power = np.sum(_abs2(col), axis=-1)
         return (1.0 / (1.0 + c * power))[..., None]
     if m == 2:
         h0 = h[..., 0]
         h1 = h[..., 1]
-        s00 = np.sum(h0.real * h0.real + h0.imag * h0.imag, axis=-1)
-        s11 = np.sum(h1.real * h1.real + h1.imag * h1.imag, axis=-1)
+        s00 = np.sum(_abs2(h0), axis=-1)
+        s11 = np.sum(_abs2(h1), axis=-1)
         s01 = np.sum(h0.conj() * h1, axis=-1)
-        d0, d1 = _diag_inverse_2x2(1.0 + c * s00, c * s01, 1.0 + c * s11)
+        d0, d1 = _diag_inverse_2x2(1.0 + c * s00, _abs2(c * s01), 1.0 + c * s11)
         return np.stack([d0, d1], axis=-1)
     gram = np.einsum("...nj,...nk->...jk", h.conj(), h)
     gram *= c
@@ -176,22 +237,13 @@ def _sinrs_from_mse(mse):
     bad = int(np.count_nonzero(beta < _NEG_SINR_SLACK))
     if bad:
         _health["clamped_beyond_slack"] += bad
-        warnings.warn(
-            f"{bad} SINR value(s) below the {_NEG_SINR_SLACK} roundoff slack "
-            "were clamped to zero",
-            NumericalHealthWarning, stacklevel=3)
+        warnings.warn(_clamp_warning(bad), stacklevel=3)
     return np.maximum(beta, 0.0)
 
 
 def _check_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
-
-
-def _mse_flat(channels, rho):
-    """Per-stream MMSE MSE for (..., N, M) channel stacks."""
-    c = noise_scaling(rho, channels.shape[-1])
-    return _regularized_inverse_diagonal(channels, c)
 
 
 def flat_sinrs(channel, rho):
@@ -212,13 +264,13 @@ def flat_sinrs(channel, rho):
     if channel.ndim != 2:
         raise ValueError(f"expected a 2-D channel matrix, got shape {channel.shape}")
     _check_finite(channel, "channel matrix")
-    return _sinrs_from_mse(_mse_flat(channel, rho))
+    return _sinrs_from_mse(_mse(channel[None], rho))
 
 
 def flat_capacity_batch(channels, rho):
     """MMSE capacity (bits/s/Hz) of each channel in a (..., N, M) stack."""
     channels = np.asarray(channels, dtype=complex)
-    beta = _sinrs_from_mse(_mse_flat(channels, rho))
+    beta = _sinrs_from_mse(_mse(channels[..., None, :, :], rho))
     return np.sum(np.log2(1.0 + beta), axis=-1)
 
 
@@ -230,19 +282,26 @@ def capacity(sinrs):
     return float(np.sum(np.log2(1.0 + beta)))
 
 
+def _check_block_length(n_taps, n_bins):
+    if n_bins < n_taps:
+        raise ConfigurationError(
+            f"block length K={n_bins} must be at least the tap count L={n_taps}")
+
+
 def transfer_function(taps, n_bins):
-    """Entrywise DFT of the zero-padded tap sequence.
+    """Entrywise DFT of the zero-padded tap sequence: the per-bin reference.
 
     Maps (..., L, N, M) tap stacks to (..., K, N, M) per-bin channel
     matrices, bin k holding ``sum_l taps[l] exp(-2i pi k l / K)``.  Direct
-    summation over the L taps; L is small in every intended use.
+    summation over the L taps; L is small in every intended use.  The
+    capacity path never forms these matrices (it works from the tap
+    autocorrelation, see the module docstring); this function is the
+    reference that per-bin checks of that path are built from.
     """
     taps = np.asarray(taps, dtype=complex)
     n_taps = taps.shape[-3]
     n_bins = int(n_bins)
-    if n_bins < n_taps:
-        raise ConfigurationError(
-            f"block length K={n_bins} must be at least the tap count L={n_taps}")
+    _check_block_length(n_taps, n_bins)
     grid = np.outer(np.arange(n_taps), np.arange(n_bins))
     twiddle = np.exp(-2j * np.pi * grid / n_bins)
     lead = taps.shape[:-3]
@@ -254,13 +313,77 @@ def transfer_function(taps, n_bins):
     return out.reshape(*lead, n_bins, n_rx, n_tx)
 
 
-def _mse_selective(taps, rho, n_bins, scaling):
-    """Per-stream MMSE MSE for (..., L, N, M) tap stacks, averaged over bins."""
-    m = taps.shape[-1]
-    n_taps = taps.shape[-3]
+def _tap_autocorrelation(taps):
+    """Lags ``R_d = sum_l T_l^H T_{l+d}``, d = 0..L-1, of (L, N, M, n) taps.
+
+    Realizations run along the last axis, so every product is a
+    contiguous length-n vector operation; each ``R_d`` is (M, M, n).
+    """
+    n_taps = taps.shape[0]
+    conj = taps.conj()
+    return [sum((conj[l, :, :, None] * taps[l + d, :, None, :]).sum(axis=0)
+                for l in range(n_taps - d))
+            for d in range(n_taps)]
+
+
+def _bin_basis(n_taps, n_bins):
+    """(2L-1, K) basis: ones, then cos and sin of 2 pi k d / K for d = 1..L-1."""
+    angle = (2.0 * np.pi / n_bins) * (
+        np.outer(np.arange(1, n_taps), np.arange(n_bins)) % n_bins)
+    return np.concatenate([np.ones((1, n_bins)), np.cos(angle), np.sin(angle)])
+
+
+def _gram_coefficients(taps, c):
+    """Coefficients of ``I + c G(k)`` against `_bin_basis`, shape (2L-1, M, M, n).
+
+    With ``R_{-d} = R_d^H`` the lag pair d, -d contributes
+    ``(R_d + R_d^H) cos(2 pi k d / K) - i (R_d - R_d^H) sin(2 pi k d / K)``,
+    so every coefficient matrix is Hermitian.
+    """
+    lags = _tap_autocorrelation(taps)
+    tail = np.stack(lags[1:])
+    tail_h = tail.conj().swapaxes(1, 2)
+    coefs = np.concatenate([lags[0][None], tail + tail_h, -1j * (tail - tail_h)])
+    coefs *= c
+    diag = np.arange(taps.shape[2])
+    coefs[0, diag, diag] += 1.0
+    return coefs
+
+
+def _mse(taps, rho, n_bins=1, scaling="per-tap"):
+    """Per-stream MMSE MSE of (..., L, N, M) tap stacks, averaged over K bins.
+
+    L = 1 is flat fading: every bin holds ``R_0 = H^H H`` and no bin
+    transform is made.  Otherwise the per-bin Gram entries come from the
+    lag coefficients by one product with the (2L-1, K) basis; for M <= 2
+    only the real Hermitian entries G00, G11, Re/Im G01 are transformed.
+    """
+    *lead, n_taps, n_rx, m = taps.shape
+    n_bins = int(n_bins)
+    _check_block_length(n_taps, n_bins)
     c = noise_scaling(rho, m, n_taps, scaling)
-    freq = transfer_function(taps, n_bins)
-    return _regularized_inverse_diagonal(freq, c).mean(axis=-2)
+    if n_taps == 1:
+        return _regularized_inverse_diagonal(taps[..., 0, :, :], c)
+    # realizations last, as `_tap_autocorrelation` expects
+    stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
+    coefs = _gram_coefficients(np.ascontiguousarray(stack), c)
+    basis = _bin_basis(n_taps, n_bins)
+    if m > 2:
+        gram = np.moveaxis(np.tensordot(basis, coefs, axes=([0], [0])), -1, 0)
+        return spd_inverse_diagonal(gram).mean(axis=1).reshape(*lead, m)
+    rows = [coefs[:, 0, 0].real]
+    if m == 2:
+        rows += [coefs[:, 1, 1].real, coefs[:, 0, 1].real, coefs[:, 0, 1].imag]
+    # one GEMM for every entry and realization: (K, 2L-1) @ (2L-1, entries * n)
+    entries = basis.T @ np.stack(rows, axis=1).reshape(len(basis), -1)
+    entries = entries.reshape(n_bins, len(rows), -1)
+    if m == 1:
+        pivot = entries[:, 0]
+        _require_positive(pivot)
+        return (1.0 / pivot).mean(axis=0).reshape(*lead, 1)
+    a, d, b_re, b_im = (entries[:, i] for i in range(4))
+    d0, d1 = _diag_inverse_2x2(a, b_re * b_re + b_im * b_im, d)
+    return np.stack([d0.mean(axis=0), d1.mean(axis=0)], axis=-1).reshape(*lead, 2)
 
 
 def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
@@ -285,13 +408,13 @@ def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
     if taps.ndim != 3:
         raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
     _check_finite(taps, "channel taps")
-    return _sinrs_from_mse(_mse_selective(taps, rho, n_bins, scaling))
+    return _sinrs_from_mse(_mse(taps, rho, n_bins, scaling))
 
 
 def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     """MMSE capacity (bits/s/Hz) of each realization in a (..., L, N, M) stack."""
     taps = np.asarray(taps, dtype=complex)
-    beta = _sinrs_from_mse(_mse_selective(taps, rho, n_bins, scaling))
+    beta = _sinrs_from_mse(_mse(taps, rho, n_bins, scaling))
     return np.sum(np.log2(1.0 + beta), axis=-1)
 
 
@@ -304,9 +427,7 @@ def block_circulant_operator(taps, n_blocks):
     taps = np.asarray(taps, dtype=complex)
     n_taps, n_rx, n_tx = taps.shape
     n_blocks = int(n_blocks)
-    if n_blocks < n_taps:
-        raise ConfigurationError(
-            f"block length K={n_blocks} must be at least the tap count L={n_taps}")
+    _check_block_length(n_taps, n_blocks)
     out = np.zeros((n_blocks * n_rx, n_blocks * n_tx), dtype=complex)
     for t in range(n_blocks):
         for lag in range(n_taps):

@@ -6,7 +6,9 @@ draws all of its randomness from a generator keyed by
 the estimate is bit-reproducible for any worker count and any scheduling.
 A grid point stops after the first block in which the cumulative event
 count reaches the target (or when the trial budget is exhausted) and
-reports a Wilson 95% confidence interval.
+reports a Wilson 95% confidence interval.  Each block also returns the
+`mmse` numerical-health counters it produced; only consumed blocks are
+merged into the calling process's counters.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mmse
 from .exceptions import ConfigurationError
 from .randmat import derive_stream
 
@@ -139,8 +142,10 @@ def _should_stop(trials, events, policy):
 
 
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
+    """Event count of one block and the mmse health counters it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
-    return int(kernel(rho, rng, n_trials))
+    events, health = mmse.collect_health(kernel, rho, rng, n_trials)
+    return int(events), health
 
 
 def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
@@ -155,15 +160,16 @@ def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
         if pool is not None:
             futures = [pool.submit(_block_events, kernel, rho, master_seed,
                                    point_index, blk, n) for blk, n in wave]
-            counts = [f.result() for f in futures]
+            results = [f.result() for f in futures]
         else:
-            counts = [_block_events(kernel, rho, master_seed, point_index, blk, n)
-                      for blk, n in wave]
+            results = [_block_events(kernel, rho, master_seed, point_index, blk, n)
+                       for blk, n in wave]
         # consume strictly in block order; speculative blocks past the
         # stopping block are discarded, so worker count cannot matter
-        for (_, n), c in zip(wave, counts):
+        for (_, n), (count, health) in zip(wave, results):
             trials += n
-            events += c
+            events += count
+            mmse.merge_health(health)
             if _should_stop(trials, events, policy):
                 stopped = True
                 break

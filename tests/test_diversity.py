@@ -5,10 +5,12 @@ import pytest
 
 from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      ConfigurationError, CurvePoint, FitWindow,
-                     InsufficientDataError, SystemConfig, TrialPolicy,
+                     InsufficientDataError, NumericalHealthWarning,
+                     SystemConfig, TrialPolicy, estimate_binomial_curve,
                      estimate_outage, fit_diversity_slope,
                      resolve_rate_regime, resolve_rate_regime_flat,
                      resolve_rate_regime_selective, wilson_interval)
+from mmsediv import mmse
 
 
 def make_curve(rhos, ps, trials=10 ** 6, converged=True, scenario="synthetic"):
@@ -264,6 +266,45 @@ class TestEstimateOutage:
             TrialPolicy(min_trials=10, max_trials=5)
         with pytest.raises(ConfigurationError):
             TrialPolicy(target_events=0)
+
+
+def _clamping_kernel(rho, rng, n_trials):
+    """Every trial is an event; each block clamps one SINR beyond the slack."""
+    mmse._sinrs_from_mse(np.array([1.0 + 1e-9, 0.5]))
+    return n_trials
+
+
+class TestSweepNumericalHealth:
+    def _delta(self, run):
+        before = mmse.numerical_health()
+        result = run()
+        after = mmse.numerical_health()
+        return result, {key: after[key] - before[key] for key in after}
+
+    def test_counts_do_not_depend_on_worker_count(self):
+        cfg = SystemConfig(M=2, N=2, R=3.0, L=2, K=8)
+        policy = TrialPolicy(max_trials=6000, target_events=40, block_trials=1000)
+        grid = [0.0, 7.5, 15.0]
+        deltas = {}
+        for workers in (1, 2):
+            curve, deltas[workers] = self._delta(lambda: estimate_outage(
+                cfg, grid, policy=policy, master_seed=21, workers=workers))
+        trials = sum(pt.trials for pt in curve.points)
+        assert deltas[1] == deltas[2] == {"evaluations": 2 * trials,
+                                          "clamped_beyond_slack": 0}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_clamps_are_counted_once_and_warned(self, workers):
+        # three blocks reach the target; with two workers a fourth block runs
+        # speculatively and its counts must be dropped
+        policy = TrialPolicy(max_trials=40, target_events=25, block_trials=10)
+        with pytest.warns(NumericalHealthWarning) as record:
+            curve, delta = self._delta(lambda: estimate_binomial_curve(
+                _clamping_kernel, [1.0], policy=policy, workers=workers))
+        assert curve.points[0].trials == 30
+        assert delta == {"evaluations": 6, "clamped_beyond_slack": 3}
+        assert sum(issubclass(w.category, NumericalHealthWarning)
+                   for w in record) == 3
 
 
 class TestFitDiversitySlope:

@@ -1,0 +1,90 @@
+"""Properties of the lag-domain MMSE capacity path.
+
+The capacity path builds each bin's Gram matrix from the tap
+autocorrelation instead of the per-bin channels; these tests hold it to a
+per-bin reference built from `transfer_function`, to the flat path at
+L = 1, and to monotonicity in the SNR.  A bound on the memory of one
+outage-kernel call covers the chunking of that path.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mmsediv import (derive_stream, flat_capacity_batch, noise_scaling,
+                     sample_complex_gaussian, selective_capacity_batch,
+                     transfer_function)
+from mmsediv.diversity import _OutageKernel
+
+REALIZATIONS = 3
+
+
+@st.composite
+def links(draw, max_taps=4):
+    """(taps, n_bins, scaling) with M in 1..4, N in M..M+2, L in 1..max_taps, K in L..32."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, m + 2))
+    n_taps = draw(st.integers(1, max_taps))
+    n_bins = draw(st.integers(n_taps, 32))
+    scaling = draw(st.sampled_from(["per-tap", "paper"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    taps = sample_complex_gaussian(n, m, derive_stream(seed),
+                                   size=(REALIZATIONS, n_taps))
+    return taps, n_bins, scaling
+
+
+snr_db = st.floats(-10.0, 40.0)
+
+
+def per_bin_capacity(taps, rho, n_bins, scaling):
+    """Capacity from the explicit per-bin channels and full matrix inverses."""
+    n_taps, _, m = taps.shape[-3:]
+    c = noise_scaling(rho, m, n_taps, scaling)
+    freq = transfer_function(taps, n_bins)
+    gram = np.eye(m) + c * np.einsum("...kni,...knj->...kij", freq.conj(), freq)
+    inv = np.linalg.inv(gram)
+    mse = np.real(np.diagonal(inv, axis1=-2, axis2=-1)).mean(axis=-2)
+    beta = np.maximum(1.0 / mse - 1.0, 0.0)
+    return np.sum(np.log2(1.0 + beta), axis=-1)
+
+
+@given(links(), snr_db)
+def test_matches_per_bin_reference(link, snr):
+    taps, n_bins, scaling = link
+    rho = 10.0 ** (snr / 10.0)
+    got = selective_capacity_batch(taps, rho, n_bins, scaling)
+    expected = per_bin_capacity(taps, rho, n_bins, scaling)
+    assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected))
+
+
+@given(links(max_taps=1), snr_db)
+def test_single_tap_is_the_flat_path_exactly(link, snr):
+    taps, n_bins, scaling = link
+    rho = 10.0 ** (snr / 10.0)
+    assert np.array_equal(selective_capacity_batch(taps, rho, n_bins, scaling),
+                          flat_capacity_batch(taps[:, 0], rho))
+
+
+@given(links(), snr_db, st.floats(0.0, 20.0))
+def test_capacity_nondecreasing_in_snr(link, snr, step_db):
+    taps, n_bins, scaling = link
+    low = selective_capacity_batch(taps, 10.0 ** (snr / 10.0), n_bins, scaling)
+    high = selective_capacity_batch(taps, 10.0 ** ((snr + step_db) / 10.0),
+                                    n_bins, scaling)
+    assert np.all(high >= low * (1.0 - 1e-12))
+
+
+def test_outage_kernel_memory_is_bounded():
+    # 2048 trials of an 8x8, 4-tap link over 256 bins: the per-bin Gram
+    # matrices alone would take 2048 * 256 * 64 * 16 B = 512 MiB at once
+    kernel = _OutageKernel(n_tx=8, n_rx=8, n_taps=4, n_bins=256, rate=20.0,
+                           scaling="per-tap")
+    tracemalloc.start()
+    try:
+        kernel(10.0, derive_stream(0, 0, 0), 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
