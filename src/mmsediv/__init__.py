@@ -10,8 +10,8 @@ asymptotics.  A thin command-line front-end lives in `mmsediv.cli`.
 
 __version__ = "0.1.0"
 
-from .diversity import (FitWindow, OutageCurve, RateRegime, SlopeFit,
-                        SystemConfig, estimate_outage, fit_diversity_slope,
+from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
+                        estimate_outage, fit_diversity_slope,
                         resolve_rate_regime, resolve_rate_regime_flat,
                         resolve_rate_regime_selective)
 from .exceptions import (ApplicabilityError, BoundaryRateError,
@@ -28,7 +28,7 @@ from .randmat import (HaarAngles, derive_stream, givens_rotation,
                       sample_haar_qr_oracle, sample_haar_recursive,
                       sample_sin_power_angle, unitarity_residual,
                       unitary_from_angles)
-from .wishart import (TailCurve, WishartSpectrum, log_density_unnormalized,
+from .wishart import (WishartSpectrum, log_density_unnormalized,
                       sample_ordered_spectrum, sample_spectra,
                       smallest_eigs_probability, tail_sum_probability)
 
@@ -43,11 +43,9 @@ __all__ = [
     "InsufficientDataError",
     "NumericalError",
     "NumericalHealthWarning",
-    "OutageCurve",
     "RateRegime",
     "SlopeFit",
     "SystemConfig",
-    "TailCurve",
     "TrialPolicy",
     "WishartSpectrum",
     "block_circulant_operator",

@@ -396,10 +396,7 @@ def main(argv=None):
         ns = parser.parse_args(argv)
         spec = resolve_spec(ns)
         return _COMMANDS[spec.command](spec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InsufficientDataError as exc:

@@ -27,25 +27,20 @@ import numpy as np
 from . import mmse
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError)
-from .montecarlo import BinomialCurve, TrialPolicy, estimate_binomial_curve
+from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
 __all__ = [
     "FitWindow",
-    "OutageCurve",
     "RateRegime",
     "SlopeFit",
     "SystemConfig",
-    "TrialPolicy",
     "estimate_outage",
     "fit_diversity_slope",
     "resolve_rate_regime",
     "resolve_rate_regime_flat",
     "resolve_rate_regime_selective",
 ]
-
-OutageCurve = BinomialCurve
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -141,33 +136,27 @@ def _find_regime_index(n_streams, rate_per_stream):
 def resolve_rate_regime_flat(M, N, R):
     """Rate regime and diversity order for a flat-fading channel.
 
-    The regime index is the unique m in {1, ..., M} with
-    ``log2(M/m) < R/M < log2(M/(m-1))`` (upper bound +inf for m = 1), and
-    the predicted diversity is ``m (N - M + m)``, always tight.  A rate
-    exactly on a boundary raises `BoundaryRateError`.
+    The L = 1 case of `resolve_rate_regime_selective`: the regime index is
+    the unique m in {1, ..., M} with ``log2(M/m) < R/M < log2(M/(m-1))``
+    (upper bound +inf for m = 1), and the predicted diversity is
+    ``m (N - M + m)``, always tight.  A rate exactly on a boundary raises
+    `BoundaryRateError`.
     """
-    if M < 1 or N < M:
-        raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
-    if R <= 0.0 or not math.isfinite(R):
-        raise ConfigurationError(f"rate must be positive and finite, got {R}")
-    x = R / M
-    m = _find_regime_index(M, x)
-    low = _lower_boundary(M, m)
-    high = _lower_boundary(M, m - 1) if m > 1 else math.inf
-    d = m * (N - M + m)
-    return RateRegime(m=m, rate_interval=(low, high), diversity_low=d,
-                      diversity_high=d, tight=True)
+    return resolve_rate_regime_selective(M, N, 1, 1, R)
 
 
 def resolve_rate_regime_selective(M, N, L, K, R):
     """Rate regime and diversity bounds for a cyclic-prefix selective channel.
 
     Requires the block length to satisfy ``K > M^2 (L - 1)`` (vacuous for
-    L = 1).  The regime index m comes from the same left boundaries as in
-    the flat case.  If R/M also lies strictly below
+    L = 1).  The regime index m comes from the left boundaries
+    ``log2(M/m)``.  If R/M also lies strictly below
     ``-log2((m-1)/M + (L-1)(M-(m-1))/K)`` the prediction is tight with
     diversity ``m (L N - M + m)``; otherwise R/M falls in the gap region
     and only the bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is returned.
+    For L = 1 the gap term vanishes and the tight interval ends at the
+    regime's upper edge ``log2(M/(m-1))`` itself, which ``-log2((m-1)/M)``
+    can miss by one ulp.
     """
     if M < 1 or N < M:
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
@@ -180,15 +169,14 @@ def resolve_rate_regime_selective(M, N, L, K, R):
             f"prediction requires K > M^2(L-1): got K={K} <= {M * M * (L - 1)}")
     x = R / M
     m = _find_regime_index(M, x)
-    gap_arg = (m - 1) / M + (L - 1) * (M - (m - 1)) / K
-    tight_high = -math.log2(gap_arg) if gap_arg > 0.0 else math.inf
     low = _lower_boundary(M, m)
     upper = _lower_boundary(M, m - 1) if m > 1 else math.inf
-    if x < tight_high:
-        d = m * (L * N - M + m)
-        return RateRegime(m=m, rate_interval=(low, tight_high),
-                          diversity_low=d, diversity_high=d, tight=True)
+    excess = (L - 1) * (M - (m - 1)) / K
+    tight_high = upper if excess == 0 else -math.log2((m - 1) / M + excess)
     d_high = m * (L * N - M + m)
+    if x < tight_high:
+        return RateRegime(m=m, rate_interval=(low, tight_high),
+                          diversity_low=d_high, diversity_high=d_high, tight=True)
     d_low = (m - 1) * (L * N - M + (m - 1))
     return RateRegime(m=m, rate_interval=(tight_high, upper),
                       diversity_low=d_low, diversity_high=d_high, tight=False)
@@ -196,9 +184,7 @@ def resolve_rate_regime_selective(M, N, L, K, R):
 
 def resolve_rate_regime(cfg):
     """Regime prediction for a `SystemConfig` (flat or selective)."""
-    if cfg.selective:
-        return resolve_rate_regime_selective(cfg.M, cfg.N, cfg.L, cfg.K, cfg.R)
-    return resolve_rate_regime_flat(cfg.M, cfg.N, cfg.R)
+    return resolve_rate_regime_selective(cfg.M, cfg.N, cfg.L, cfg.K, cfg.R)
 
 
 _CHUNK_BYTES = 4 * 2**20

@@ -185,20 +185,11 @@ def _diag_inverse_2x2(a, b_abs2, c):
 def spd_inverse_diagonal(mats):
     """Diagonal of the inverse of Hermitian positive-definite matrices.
 
-    Accepts stacks of shape (..., M, M) and returns real (..., M).  Uses a
-    Cholesky factorization and per-column triangular solves (unrolled into
-    whole-array operations for M <= 2, looped over columns otherwise).
+    Accepts stacks of shape (..., M, M) and returns real (..., M).  One
+    algorithm for every M: a Cholesky factorization and per-column
+    triangular solves, looped over columns.  The capacity path's unrolled
+    M <= 2 form is `_diag_inverse_2x2`.
     """
-    mats = np.asarray(mats, dtype=complex)
-    m = mats.shape[-1]
-    if m == 1:
-        pivot = mats[..., 0, 0].real
-        _require_positive(pivot)
-        return (1.0 / pivot)[..., None]
-    if m == 2:
-        d0, d1 = _diag_inverse_2x2(mats[..., 0, 0].real, _abs2(mats[..., 0, 1]),
-                                   mats[..., 1, 1].real)
-        return np.stack([d0, d1], axis=-1)
     lower = _cholesky_lower(mats)
     inv = _lower_triangular_inverse(lower)
     return np.sum((inv * inv.conj()).real, axis=-2)

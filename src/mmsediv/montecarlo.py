@@ -13,6 +13,8 @@ merged into the calling process's counters.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -149,21 +151,17 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
 
 
 def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
-                    pool, n_workers):
+                    map_blocks, wave_size):
     plan = _block_plan(policy)
+    run_block = functools.partial(_block_events, kernel, rho, master_seed,
+                                  point_index)
     trials = 0
     events = 0
     cursor = 0
     stopped = False
     while cursor < len(plan) and not stopped:
-        wave = plan[cursor:cursor + (n_workers if pool is not None else 1)]
-        if pool is not None:
-            futures = [pool.submit(_block_events, kernel, rho, master_seed,
-                                   point_index, blk, n) for blk, n in wave]
-            results = [f.result() for f in futures]
-        else:
-            results = [_block_events(kernel, rho, master_seed, point_index, blk, n)
-                       for blk, n in wave]
+        wave = plan[cursor:cursor + wave_size]
+        results = list(map_blocks(run_block, *zip(*wave)))
         # consume strictly in block order; speculative blocks past the
         # stopping block are discarded, so worker count cannot matter
         for (_, n), (count, health) in zip(wave, results):
@@ -226,14 +224,10 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         if snr_db.shape != rho.shape:
             raise ConfigurationError("snr_db grid must match the rho grid")
     n_workers = resolve_workers(workers)
-    points = []
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for g in range(rho.size):
-                points.append(_estimate_point(kernel, rho[g], snr_db[g], g,
-                                              policy, master_seed, pool, n_workers))
-    else:
-        for g in range(rho.size):
-            points.append(_estimate_point(kernel, rho[g], snr_db[g], g,
-                                          policy, master_seed, None, 1))
+    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else contextlib.nullcontext()) as pool:
+        map_blocks = map if pool is None else pool.map
+        points = [_estimate_point(kernel, rho[g], snr_db[g], g, policy,
+                                  master_seed, map_blocks, n_workers)
+                  for g in range(rho.size)]
     return BinomialCurve(scenario=scenario, points=points, master_seed=master_seed)

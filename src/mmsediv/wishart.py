@@ -15,17 +15,16 @@ checks normalize numerically over a compact box.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericalError
-from .montecarlo import BinomialCurve, TrialPolicy, estimate_binomial_curve
+from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
 __all__ = [
-    "TailCurve",
-    "TrialPolicy",
     "WishartSpectrum",
     "log_density_unnormalized",
     "sample_ordered_spectrum",
@@ -33,8 +32,6 @@ __all__ = [
     "smallest_eigs_probability",
     "tail_sum_probability",
 ]
-
-TailCurve = BinomialCurve
 
 _EIG_SLACK = -1e-12
 
@@ -53,7 +50,9 @@ def _check_dims(M, N):
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
 
 
-def _clamped_ascending(eigs):
+def _spectra(h):
+    """Ascending eigenvalues of H^H H for a (n, N, M) stack, clamped at zero."""
+    eigs = np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h))
     if np.any(eigs < _EIG_SLACK):
         raise NumericalError(
             f"eigensolver returned values below the {_EIG_SLACK} slack")
@@ -63,9 +62,7 @@ def _clamped_ascending(eigs):
 def sample_spectra(M, N, rng, n_draws):
     """Stack of ``n_draws`` ordered spectra, shape (n_draws, M), ascending."""
     _check_dims(M, N)
-    h = sample_complex_gaussian(N, M, rng, size=n_draws)
-    gram = np.einsum("bnj,bnk->bjk", h.conj(), h)
-    return _clamped_ascending(np.linalg.eigvalsh(gram))
+    return _spectra(sample_complex_gaussian(N, M, rng, size=n_draws))
 
 
 def sample_ordered_spectrum(M, N, rng):
@@ -101,50 +98,45 @@ def log_density_unnormalized(spectrum):
 _SPECTRUM_CHUNK = 65536
 
 
+# tail events; module-level functions, so that a `_TailKernel` pickles
+def _sum_below(lam, m, b, rho):
+    return rho * lam[:, :m].sum(axis=1) < b
+
+
+def _mth_below(lam, m, b, rho):
+    return lam[:, m - 1] <= b / rho
+
+
 @dataclass(frozen=True)
-class _SumTailKernel:
+class _TailKernel:
+    """Counts the ascending spectra ``lam`` with ``event(lam, m, b, rho)``."""
+
     M: int
     N: int
     m: int
     b: float
+    event: Callable
 
     def __call__(self, rho, rng, n_trials):
         h = sample_complex_gaussian(self.N, self.M, rng, size=n_trials)
         events = 0
         for lo in range(0, n_trials, _SPECTRUM_CHUNK):
-            block = h[lo:lo + _SPECTRUM_CHUNK]
-            gram = np.einsum("bnj,bnk->bjk", block.conj(), block)
-            lam = _clamped_ascending(np.linalg.eigvalsh(gram))
-            partial = lam[:, :self.m].sum(axis=1)
-            events += int(np.count_nonzero(rho * partial < self.b))
+            lam = _spectra(h[lo:lo + _SPECTRUM_CHUNK])
+            events += int(np.count_nonzero(self.event(lam, self.m, self.b, rho)))
         return events
 
 
-@dataclass(frozen=True)
-class _SmallestEigKernel:
-    M: int
-    N: int
-    m: int
-    b: float
-
-    def __call__(self, rho, rng, n_trials):
-        h = sample_complex_gaussian(self.N, self.M, rng, size=n_trials)
-        events = 0
-        threshold = self.b / rho
-        for lo in range(0, n_trials, _SPECTRUM_CHUNK):
-            block = h[lo:lo + _SPECTRUM_CHUNK]
-            gram = np.einsum("bnj,bnk->bjk", block.conj(), block)
-            lam = _clamped_ascending(np.linalg.eigvalsh(gram))
-            events += int(np.count_nonzero(lam[:, self.m - 1] <= threshold))
-        return events
-
-
-def _check_tail_args(M, N, m, b):
+def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers):
+    """Checks the arguments and estimates the event curve of one tail kind."""
     _check_dims(M, N)
     if not 1 <= m <= M:
         raise ConfigurationError(f"need 1 <= m <= M, got m={m}, M={M}")
     if b <= 0.0:
         raise ConfigurationError(f"threshold b must be positive, got {b}")
+    kernel = _TailKernel(M=int(M), N=int(N), m=int(m), b=float(b), event=event)
+    return estimate_binomial_curve(kernel, rho_grid, policy=policy,
+                                   master_seed=master_seed, workers=workers,
+                                   scenario=f"wishart-{kind}-M{M}-N{N}-m{m}-b{b:g}")
 
 
 def tail_sum_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
@@ -155,12 +147,8 @@ def tail_sum_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
     `mmsediv.diversity.estimate_outage`; the fitted log-log slope of the
     returned curve estimates the decay exponent m (N - M + m).
     """
-    _check_tail_args(M, N, m, b)
-    kernel = _SumTailKernel(M=int(M), N=int(N), m=int(m), b=float(b))
-    scenario = f"wishart-sum-M{M}-N{N}-m{m}-b{b:g}"
-    return estimate_binomial_curve(kernel, rho_grid, policy=policy,
-                                   master_seed=master_seed, workers=workers,
-                                   scenario=scenario)
+    return _tail_curve("sum", _sum_below, M, N, m, b, rho_grid, policy,
+                       master_seed, workers)
 
 
 def smallest_eigs_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
@@ -170,9 +158,5 @@ def smallest_eigs_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
     The event that the m smallest eigenvalues all fall below b/rho is the
     event on the m-th one alone; its decay exponent is m (N - M + m).
     """
-    _check_tail_args(M, N, m, b)
-    kernel = _SmallestEigKernel(M=int(M), N=int(N), m=int(m), b=float(b))
-    scenario = f"wishart-min-M{M}-N{N}-m{m}-b{b:g}"
-    return estimate_binomial_curve(kernel, rho_grid, policy=policy,
-                                   master_seed=master_seed, workers=workers,
-                                   scenario=scenario)
+    return _tail_curve("min", _mth_below, M, N, m, b, rho_grid, policy,
+                       master_seed, workers)

@@ -131,19 +131,30 @@ class TestSelectiveRegimes:
         assert not regime.tight
 
     def test_single_tap_matches_flat(self):
-        for m_streams, n_rx, k in [(2, 2, 1), (3, 4, 5), (2, 3, 2)]:
-            rates = np.linspace(0.05, m_streams * math.log2(m_streams) + 0.8, 41)
-            for rate in rates:
-                try:
-                    flat = resolve_rate_regime_flat(m_streams, n_rx, float(rate))
-                except BoundaryRateError:
-                    with pytest.raises(BoundaryRateError):
-                        resolve_rate_regime_selective(m_streams, n_rx, 1, k, float(rate))
-                    continue
-                sel = resolve_rate_regime_selective(m_streams, n_rx, 1, k, float(rate))
-                assert sel.m == flat.m
-                assert sel.tight
-                assert sel.diversity_high == flat.diversity_high
+        # rates one ulp below every regime edge, in R/M and in R: the L = 1
+        # tight interval must end at log2(M/(m-1)) itself, not at
+        # -log2((m-1)/M), which can lie one ulp lower
+        for m_streams in range(1, 9):
+            edges = [math.log2(m_streams / j) for j in range(1, m_streams)]
+            rates = list(np.linspace(0.05, m_streams * math.log2(m_streams) + 0.8, 41))
+            rates += [m_streams * math.nextafter(e, -math.inf) for e in edges]
+            rates += [math.nextafter(m_streams * e, -math.inf) for e in edges]
+            for n_rx, k in [(m_streams, 1), (m_streams, 8), (m_streams + 1, 5),
+                            (m_streams + 2, 64)]:
+                for rate in map(float, rates):
+                    try:
+                        flat = resolve_rate_regime_flat(m_streams, n_rx, rate)
+                    except BoundaryRateError:
+                        with pytest.raises(BoundaryRateError):
+                            resolve_rate_regime_selective(m_streams, n_rx, 1, k, rate)
+                        continue
+                    sel = resolve_rate_regime_selective(m_streams, n_rx, 1, k, rate)
+                    assert sel == flat
+                    assert sel.tight
+                    assert sel.diversity_high == sel.m * (n_rx - m_streams + sel.m)
+                    upper = (math.log2(m_streams / (sel.m - 1)) if sel.m > 1
+                             else math.inf)
+                    assert sel.rate_interval == (math.log2(m_streams / sel.m), upper)
 
     def test_boundary_rates_refused(self):
         with pytest.raises(BoundaryRateError):

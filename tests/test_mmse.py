@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmsediv import (ConfigurationError, NumericalHealthWarning,
+from mmsediv import (ConfigurationError, NumericalError, NumericalHealthWarning,
                      block_circulant_operator, capacity, derive_stream,
                      flat_capacity_batch, flat_sinrs, noise_scaling,
                      sample_complex_gaussian, selective_capacity_batch,
@@ -189,6 +189,13 @@ class TestSpdInverseDiagonal:
         expected = np.real(np.diag(np.linalg.inv(s)))
         got = spd_inverse_diagonal(s)
         assert np.max(np.abs(got - expected) / expected) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nonpositive_pivot_raises(self, m):
+        s = np.eye(m, dtype=complex)
+        s[m - 1, m - 1] = 0.0
+        with pytest.raises(NumericalError):
+            spd_inverse_diagonal(s)
 
     def test_batched_input(self):
         a = sample_complex_gaussian(4, 3, rng_for(41), size=10)

@@ -157,6 +157,19 @@ class TestTailCurves:
                                           master_seed=12)
         assert curve.points[0].p_out >= 0.5
 
+    @pytest.mark.parametrize("estimator", [tail_sum_probability,
+                                           smallest_eigs_probability])
+    def test_worker_count_invariance(self, estimator):
+        # targets reached mid-wave, so the two-worker run discards blocks
+        policy = TrialPolicy(max_trials=40_000, target_events=50,
+                             block_trials=3_000)
+        rho_grid = [50.0, 500.0, 5000.0]
+        one, two = (estimator(2, 2, 1, 1.0, rho_grid, policy=policy,
+                              master_seed=14, workers=w) for w in (1, 2))
+        assert one.points == two.points
+        assert any(pt.converged and pt.trials // policy.block_trials % 2
+                   for pt in one.points)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
             tail_sum_probability(2, 2, 0, 1.0, [1.0, 2.0])
