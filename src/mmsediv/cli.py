@@ -14,8 +14,11 @@ Subcommands
     Run the corresponding module self-check suite and report one pass/fail
     line per invariant.
 
-Options may come from flags and/or a flat ``key=value`` config file
-(``--config``); flags override file values.  Exit codes: 0 success, 1
+Every subcommand takes the options of `_OPTIONS`, the one list of them:
+flag, type, default and help.  ``--config`` names a flat ``key=value``
+file whose keys are the other option names, spelt with ``-`` or ``_``
+(e.g. ``snr-stop=30`` or ``snr_stop=30``).  Precedence: flags over file
+values over the table's defaults.  Exit codes: 0 success, 1
 configuration/applicability/boundary error, 2 completed but unconverged or
 outside the requested tolerance.
 """
@@ -23,9 +26,10 @@ outside the requested tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,26 +48,31 @@ __all__ = [
 
 CSV_HEADER = "scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged"
 
-_DEFAULTS = {
-    "M": 2,
-    "N": 2,
-    "L": 1,
-    "K": 64,
-    "rate": None,
-    "snr_start": 0.0,
-    "snr_stop": 35.0,
-    "snr_step": 2.5,
-    "seed": 0,
-    "workers": "1",
-    "max_trials": 10_000_000,
-    "target_events": 200,
-    "scaling": "per-tap",
-    "out": "outage_curve.csv",
-    "d_tolerance": 0.5,
-}
+# flag, type (a tuple lists the allowed values), default, help
+_OPTIONS = (
+    ("--M", int, 2, "transmit antennas"),
+    ("--N", int, 2, "receive antennas"),
+    ("--L", int, 1, "channel taps (1 = flat fading)"),
+    ("--K", int, 64, "cyclic-prefix block length (selective only)"),
+    ("--rate", float, None, "target rate R in bits/s/Hz"),
+    ("--snr-start", float, 0.0, "grid start, dB"),
+    ("--snr-stop", float, 35.0, "grid stop, dB"),
+    ("--snr-step", float, 2.5, "grid step, dB"),
+    ("--seed", int, 0, "master seed"),
+    ("--workers", str, "1", "worker processes, or 'auto'"),
+    ("--max-trials", int, 10_000_000, "trial budget per SNR point"),
+    ("--target-events", int, 200,
+     "outage events per point before early stopping"),
+    ("--scaling", ("per-tap", "paper"), "per-tap",
+     "noise-scaling convention: rho/(M*L) or rho/M"),
+    ("--config", str, None, "flat key=value configuration file"),
+    ("--out", str, "outage_curve.csv", "output CSV path"),
+    ("--d-tolerance", float, 0.5,
+     "allowed |d_hat - prediction| before exit code 2"),
+)
 
-_INT_KEYS = ("M", "N", "L", "K", "seed", "max_trials", "target_events")
-_FLOAT_KEYS = ("rate", "snr_start", "snr_stop", "snr_step", "d_tolerance")
+_CONFIG_KEYS = frozenset(flag[2:].replace("-", "_") for flag, *_ in _OPTIONS
+                         if flag != "--config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,48 +81,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common_options(sub):
-    sub.add_argument("--M", type=int, default=None, help="transmit antennas")
-    sub.add_argument("--N", type=int, default=None, help="receive antennas")
-    sub.add_argument("--L", type=int, default=None,
-                     help="channel taps (1 = flat fading)")
-    sub.add_argument("--K", type=int, default=None,
-                     help="cyclic-prefix block length (selective only)")
-    sub.add_argument("--rate", type=float, default=None,
-                     help="target rate R in bits/s/Hz")
-    sub.add_argument("--snr-start", type=float, default=None, help="grid start, dB")
-    sub.add_argument("--snr-stop", type=float, default=None, help="grid stop, dB")
-    sub.add_argument("--snr-step", type=float, default=None, help="grid step, dB")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--workers", type=str, default=None,
-                     help="worker processes, or 'auto'")
-    sub.add_argument("--max-trials", type=int, default=None,
-                     help="trial budget per SNR point")
-    sub.add_argument("--target-events", type=int, default=None,
-                     help="outage events per point before early stopping")
-    sub.add_argument("--scaling", choices=["per-tap", "paper"], default=None,
-                     help="noise-scaling convention: rho/(M*L) or rho/M")
-    sub.add_argument("--config", type=str, default=None,
-                     help="flat key=value configuration file")
-    sub.add_argument("--out", type=str, default=None, help="output CSV path")
-    sub.add_argument("--d-tolerance", type=float, default=None,
-                     help="allowed |d_hat - prediction| before exit code 2")
-
-
-def build_parser():
+def build_parser(file_values=None):
+    """Parser of every subcommand; ``file_values`` become option defaults."""
     parser = _Parser(prog="mmsediv",
                      description="MMSE receiver outage and diversity toolkit")
     parser.add_argument("--version", action="version",
                         version=f"mmsediv {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("predict", "print the closed-form rate regime and diversity"),
-            ("outage", "Monte Carlo outage sweep, CSV output and slope fit"),
-            ("verify-haar", "self-checks of the Haar unitary samplers"),
-            ("verify-sinr", "self-checks of the SINR paths"),
-            ("verify-wishart", "self-checks of the Wishart spectrum module")):
+    for name, (help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common_options(sub)
+        for flag, kind, default, text in _OPTIONS:
+            convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument(flag, default=default, help=text, **convert)
+        # string defaults go through each option's type when argparse uses them
+        sub.set_defaults(**(file_values or {}))
     return parser
 
 
@@ -130,63 +111,13 @@ def _parse_config_file(path):
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key not in _DEFAULTS:
+                if key not in _CONFIG_KEYS:
                     raise ConfigurationError(
                         f"{path}:{lineno}: unknown configuration key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-def _coerce(key, value):
-    if value is None:
-        return None
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
-@dataclass
-class RunSpec:
-    """Fully resolved options of one invocation (flags over file over defaults)."""
-
-    command: str
-    M: int
-    N: int
-    L: int
-    K: int
-    rate: float | None
-    snr_start: float
-    snr_stop: float
-    snr_step: float
-    seed: int
-    workers: str
-    max_trials: int
-    target_events: int
-    scaling: str
-    out: str
-    d_tolerance: float
-
-
-def resolve_spec(ns):
-    """Merge flags, config file and defaults into a `RunSpec`."""
-    file_values = _parse_config_file(ns.config) if ns.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = _coerce(key, file_values[key])
-        else:
-            merged[key] = default
-    return RunSpec(command=ns.command, **merged)
 
 
 def _system_config(spec):
@@ -198,6 +129,10 @@ def _system_config(spec):
 
 
 def _snr_grid(spec):
+    if not all(map(math.isfinite, (spec.snr_start, spec.snr_stop, spec.snr_step))):
+        raise ConfigurationError(
+            f"snr-start, snr-stop and snr-step must be finite, got "
+            f"{spec.snr_start}, {spec.snr_stop}, {spec.snr_step}")
     if spec.snr_step <= 0.0:
         raise ConfigurationError(f"snr-step must be positive, got {spec.snr_step}")
     if not spec.snr_start < spec.snr_stop:
@@ -265,10 +200,6 @@ def cmd_predict(spec):
     return 0
 
 
-def _policy(spec):
-    return TrialPolicy(max_trials=spec.max_trials, target_events=spec.target_events)
-
-
 def _fit_report(spec, cfg, regime, curve, fit, verdict_line):
     converged_db = [pt.snr_db for pt in curve.points if pt.converged]
     lines = [
@@ -320,6 +251,18 @@ def _fit_report(spec, cfg, regime, curve, fit, verdict_line):
     return "\n".join(lines) + "\n"
 
 
+def _check_writable(path):
+    """Fail before a sweep whose output could not be written afterwards."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def cmd_outage(spec):
     cfg = _system_config(spec)
     regime = diversity.resolve_rate_regime(cfg)
@@ -327,7 +270,12 @@ def cmd_outage(spec):
     if grid.size < 3:
         raise ConfigurationError(
             f"slope fitting needs at least 3 grid points, grid has {grid.size}")
-    curve = diversity.estimate_outage(cfg, grid, policy=_policy(spec),
+    report_path = spec.out + ".report.txt"
+    for path in (spec.out, report_path):
+        _check_writable(path)
+    policy = TrialPolicy(max_trials=spec.max_trials,
+                         target_events=spec.target_events)
+    curve = diversity.estimate_outage(cfg, grid, policy=policy,
                                       master_seed=spec.seed,
                                       workers=spec.workers)
     write_curve_csv(curve, spec.out)
@@ -350,7 +298,6 @@ def cmd_outage(spec):
                        f"[{lo:g}, {hi:g}]")
             status = 2
     report = _fit_report(spec, cfg, regime, curve, fit, verdict)
-    report_path = spec.out + ".report.txt"
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(report)
     print(report, end="")
@@ -358,7 +305,8 @@ def cmd_outage(spec):
     return status
 
 
-def _run_checks(results):
+def _run_checks(suite, spec):
+    results = suite(seed=spec.seed)
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -368,34 +316,26 @@ def _run_checks(results):
     return 0 if failed == 0 else 2
 
 
-def cmd_verify_haar(spec):
-    return _run_checks(verify.verify_haar(seed=spec.seed))
-
-
-def cmd_verify_sinr(spec):
-    return _run_checks(verify.verify_sinr(seed=spec.seed))
-
-
-def cmd_verify_wishart(spec):
-    return _run_checks(verify.verify_wishart(seed=spec.seed))
-
-
+# subcommand name -> (help, handler)
 _COMMANDS = {
-    "predict": cmd_predict,
-    "outage": cmd_outage,
-    "verify-haar": cmd_verify_haar,
-    "verify-sinr": cmd_verify_sinr,
-    "verify-wishart": cmd_verify_wishart,
+    "predict": ("print the closed-form rate regime and diversity", cmd_predict),
+    "outage": ("Monte Carlo outage sweep, CSV output and slope fit", cmd_outage),
+    "verify-haar": ("self-checks of the Haar unitary samplers",
+                    functools.partial(_run_checks, verify.verify_haar)),
+    "verify-sinr": ("self-checks of the SINR paths",
+                    functools.partial(_run_checks, verify.verify_sinr)),
+    "verify-wishart": ("self-checks of the Wishart spectrum module",
+                       functools.partial(_run_checks, verify.verify_wishart)),
 }
 
 
 def main(argv=None):
     """Run the CLI; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        spec = resolve_spec(ns)
-        return _COMMANDS[spec.command](spec)
+        spec = build_parser().parse_args(argv)
+        if spec.config:
+            spec = build_parser(_parse_config_file(spec.config)).parse_args(argv)
+        return _COMMANDS[spec.command][1](spec)
     except ValueError as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,7 +56,6 @@ class SystemConfig:
     R: float
     L: int = 1
     K: int = 1
-    rho: float = 1.0
     scaling: str = "per-tap"
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class SystemConfig:
                 f"selective channels need K >= L, got K={self.K}, L={self.L}")
         if not math.isfinite(self.R) or self.R < 0.0:
             raise ConfigurationError(f"rate R must be finite and >= 0, got {self.R}")
-        if not math.isfinite(self.rho) or self.rho <= 0.0:
-            raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if self.scaling not in mmse.SCALING_CONVENTIONS:
             raise ConfigurationError(
                 f"unknown scaling {self.scaling!r}; expected one of "

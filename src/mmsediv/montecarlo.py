@@ -55,23 +55,20 @@ def wilson_interval(successes, trials, z=WILSON_Z_95):
 class TrialPolicy:
     """Stopping policy for one adaptive Monte Carlo grid point.
 
-    A point runs until at least ``min_trials`` trials have been consumed
-    and either ``target_events`` events were observed or ``max_trials``
-    is reached.  Stopping is evaluated at block boundaries; changing
-    ``block_trials`` therefore changes the exact trial counts (but not the
-    correctness or the determinism of the estimate).
+    A point runs until ``target_events`` events were observed or
+    ``max_trials`` is reached.  Stopping is evaluated at block boundaries;
+    changing ``block_trials`` therefore changes the exact trial counts (but
+    not the correctness or the determinism of the estimate).
     """
 
-    min_trials: int = 1
     max_trials: int = 10_000_000
     target_events: int = 200
     block_trials: int = 100_000
 
     def __post_init__(self):
-        if not 1 <= self.min_trials <= self.max_trials:
+        if self.max_trials < 1:
             raise ConfigurationError(
-                f"need max_trials >= min_trials >= 1, got "
-                f"{self.max_trials} / {self.min_trials}")
+                f"max_trials must be >= 1, got {self.max_trials}")
         if self.target_events < 1:
             raise ConfigurationError("target_events must be >= 1")
         if self.block_trials < 1:
@@ -137,12 +134,6 @@ def _block_plan(policy):
     return plan
 
 
-def _should_stop(trials, events, policy):
-    if trials < policy.min_trials:
-        return False
-    return events >= policy.target_events or trials >= policy.max_trials
-
-
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     """Event count of one block and the mmse health counters it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
@@ -168,7 +159,7 @@ def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
             trials += n
             events += count
             mmse.merge_health(health)
-            if _should_stop(trials, events, policy):
+            if events >= policy.target_events or trials >= policy.max_trials:
                 stopped = True
                 break
         cursor += len(wave)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmsediv import __version__
+from mmsediv import __version__, diversity
 from mmsediv.cli import (CSV_HEADER, main, read_curve_csv, write_curve_csv)
 from mmsediv.montecarlo import BinomialCurve, CurvePoint
 
@@ -116,6 +116,44 @@ class TestOutage:
         assert code1 == code2
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key,value", [("snr-stop", "inf"),
+                                           ("snr-step", "nan"),
+                                           ("snr-start", "-inf")])
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys, source, key, value):
+        args = ["outage", "--M", "2", "--N", "2", "--rate", "3",
+                "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            args.append(f"--{key}={value}")
+        else:
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("bad", ["csv", "report"])
+    def test_unwritable_output_fails_before_sweep(self, tmp_path, capsys,
+                                                  monkeypatch, bad):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran although its output cannot be written")
+
+        monkeypatch.setattr(diversity, "estimate_outage", no_sweep)
+        if bad == "csv":
+            out = tmp_path / "missing" / "x.csv"
+            unwritable = out
+        else:
+            out = tmp_path / "x.csv"
+            unwritable = tmp_path / "x.csv.report.txt"
+            unwritable.mkdir()
+        code, _, err = run(["outage", "--M", "2", "--N", "2", "--rate", "3",
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(unwritable) in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path, capsys):
@@ -143,6 +181,49 @@ class TestConfigFile:
         code, _, err = run(["predict", "--config", str(cfg), "--rate", "1"],
                            capsys)
         assert code == 1
+
+    def test_file_run_matches_flag_run(self, tmp_path, capsys):
+        # every option key, with both spellings of the separator
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M=2\nN=2\nL=1\nK=8\nrate=2.5\nsnr-start=0\n"
+                       "snr-stop=20\nsnr_step=2.5\nseed=77\nworkers=2\n"
+                       "max-trials=40000\ntarget_events=100\nscaling=paper\n"
+                       f"out={tmp_path / 'file.csv'}\nd-tolerance=2\n")
+        flags = ["--M", "2", "--N", "2", "--L", "1", "--K", "8",
+                 "--rate", "2.5", "--snr-start", "0", "--snr-stop", "20",
+                 "--snr-step", "2.5", "--seed", "77", "--workers", "2",
+                 "--max-trials", "40000", "--target-events", "100",
+                 "--scaling", "paper", "--d-tolerance", "2"]
+        code_file, _, _ = run(["outage", "--config", str(cfg)], capsys)
+        code_flags, _, _ = run(["outage"] + flags
+                               + ["--out", str(tmp_path / "flags.csv")], capsys)
+        code_override, _, _ = run(["outage", "--config", str(cfg),
+                                   "--workers", "1", "--out",
+                                   str(tmp_path / "override.csv")], capsys)
+        assert code_file == code_flags == code_override == 0
+        csv = (tmp_path / "file.csv").read_bytes()
+        assert (tmp_path / "flags.csv").read_bytes() == csv
+        assert (tmp_path / "override.csv").read_bytes() == csv
+        report = (tmp_path / "file.csv.report.txt").read_text()
+        assert "scaling: paper" in report
+        assert "verdict: PASS" in report
+        assert (tmp_path / "flags.csv.report.txt").read_text() == report
+
+    @pytest.mark.parametrize("text", ["M=2.0\n", "config=other.cfg\n"])
+    def test_bad_file_value_or_key_exits_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad3.cfg"
+        cfg.write_text(text + "rate=1\n")
+        code, _, err = run(["predict", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_flag_overrides_bad_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text("rate=abc\n")
+        code, out, _ = run(["predict", "--config", str(cfg), "--rate", "1.2"],
+                           capsys)
+        assert code == 0
+        assert "m=2, diversity=4 (tight)" in out
 
 
 class TestVerifySubcommands:

@@ -274,7 +274,7 @@ class TestEstimateOutage:
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
-            TrialPolicy(min_trials=10, max_trials=5)
+            TrialPolicy(max_trials=0)
         with pytest.raises(ConfigurationError):
             TrialPolicy(target_events=0)
 
