@@ -48,6 +48,24 @@ __all__ = [
 
 CSV_HEADER = "scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged"
 
+# largest SNR grid `outage` accepts, checked before the grid is allocated
+_MAX_GRID_POINTS = 10_000
+
+
+def _worker_count(text):
+    """A positive worker count or ``auto``, as the type of ``--workers``."""
+    if text == "auto":
+        return text
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid positive int or 'auto' value: {text!r}")
+    return count
+
+
 # flag, type (a tuple lists the allowed values), default, help
 _OPTIONS = (
     ("--M", int, 2, "transmit antennas"),
@@ -59,7 +77,7 @@ _OPTIONS = (
     ("--snr-stop", float, 35.0, "grid stop, dB"),
     ("--snr-step", float, 2.5, "grid step, dB"),
     ("--seed", int, 0, "master seed"),
-    ("--workers", str, "1", "worker processes, or 'auto'"),
+    ("--workers", _worker_count, 1, "worker processes, or 'auto'"),
     ("--max-trials", int, 10_000_000, "trial budget per SNR point"),
     ("--target-events", int, 200,
      "outage events per point before early stopping"),
@@ -138,8 +156,12 @@ def _snr_grid(spec):
     if not spec.snr_start < spec.snr_stop:
         raise ConfigurationError(
             f"need snr-start < snr-stop, got {spec.snr_start} >= {spec.snr_stop}")
-    count = int(math.floor((spec.snr_stop - spec.snr_start) / spec.snr_step + 1e-9)) + 1
-    return spec.snr_start + spec.snr_step * np.arange(count)
+    steps = (spec.snr_stop - spec.snr_start) / spec.snr_step + 1e-9
+    if not steps < _MAX_GRID_POINTS:  # also an overflow to inf
+        raise ConfigurationError(
+            f"the SNR grid would have more than {_MAX_GRID_POINTS} points; "
+            f"raise snr-step or narrow snr-start..snr-stop")
+    return spec.snr_start + spec.snr_step * np.arange(int(steps) + 1)
 
 
 def _float_repr(x):

@@ -9,6 +9,16 @@ closed-form value ``m (N - M + m)``:
 * ``P(sum_{k<=m} rho * lambda_k < b)`` (`tail_sum_probability`),
 * ``P(lambda_m <= b / rho)`` (`smallest_eigs_probability`).
 
+For M = 2 the spectrum has a closed form in the columns ``x``, ``y`` of
+``H``: with ``a = |x|^2``, ``d = |y|^2`` and ``g = x^H y``,
+``lambda_max = (a + d + hypot(a - d, 2|g|)) / 2`` and
+``lambda_min = det / lambda_max``, where ``det`` is the sum of the squared
+2 x 2 minors of ``H`` (Cauchy-Binet), so a small ``lambda_min`` loses
+nothing to cancellation.  Other M go through ``eigvalsh``.  The tail
+kernel hands every trial whose event lies within ``_TIE_BAND`` of its
+threshold back to ``eigvalsh``, so each event is decided as ``eigvalsh``
+decides it.
+
 The normalization constant of the joint density is never computed; density
 checks normalize numerically over a compact box.
 """
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +44,11 @@ __all__ = [
     "tail_sum_probability",
 ]
 
+# lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
+# half-width, relative to lambda_max, of the band around an event's threshold
+# in which `_TailKernel` lets `eigvalsh` decide the event
+_TIE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,13 +65,38 @@ def _check_dims(M, N):
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
 
 
-def _spectra(h):
-    """Ascending eigenvalues of H^H H for a (n, N, M) stack, clamped at zero."""
+def _eigvalsh_spectra(h):
+    """Ascending eigenvalues of H^H H by ``eigvalsh``, clamped at zero."""
     eigs = np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h))
-    if np.any(eigs < _EIG_SLACK):
+    if np.any(eigs < _EIG_SLACK * eigs[..., -1:]):
         raise NumericalError(
-            f"eigensolver returned values below the {_EIG_SLACK} slack")
+            f"eigensolver returned values below {_EIG_SLACK} lambda_max")
     return np.maximum(eigs, 0.0)
+
+
+def _spectra(h):
+    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative.
+
+    M = 2 uses the closed form of the module docstring.  Its
+    ``lambda_min`` is clamped to ``[0, lambda_max]``, which keeps every row
+    ascending when the two eigenvalues agree to rounding, and ``H = 0``
+    gives ``(0, 0)``.  It lies within a few ulps of ``lambda_max`` of the
+    ``eigvalsh`` spectrum (`_eigvalsh_spectra`), which serves every other M.
+    """
+    if h.shape[-1] != 2:
+        return _eigvalsh_spectra(h)
+    x, y = h[..., 0], h[..., 1]
+    a = np.einsum("bn,bn->b", x.conj(), x).real
+    d = np.einsum("bn,bn->b", y.conj(), y).real
+    g = np.abs(np.einsum("bn,bn->b", x.conj(), y))
+    lam_max = 0.5 * (a + d + np.hypot(a - d, 2.0 * g))
+    det = 0.0
+    for i, j in combinations(range(h.shape[1]), 2):
+        minor = x[:, i] * y[:, j] - x[:, j] * y[:, i]
+        det = det + (minor.real * minor.real + minor.imag * minor.imag)
+    lam_min = np.divide(det, lam_max, out=np.zeros_like(lam_max),
+                        where=lam_max > 0.0)
+    return np.stack([np.minimum(lam_min, lam_max), lam_max], axis=1)
 
 
 def sample_spectra(M, N, rng, n_draws):
@@ -98,7 +138,8 @@ def log_density_unnormalized(spectrum):
 _SPECTRUM_CHUNK = 65536
 
 
-# tail events; module-level functions, so that a `_TailKernel` pickles
+# Tail events: module-level functions, so that a `_TailKernel` pickles.
+# Each one is monotone: raising any eigenvalue can only turn it false.
 def _sum_below(lam, m, b, rho):
     return rho * lam[:, :m].sum(axis=1) < b
 
@@ -109,7 +150,15 @@ def _mth_below(lam, m, b, rho):
 
 @dataclass(frozen=True)
 class _TailKernel:
-    """Counts the ascending spectra ``lam`` with ``event(lam, m, b, rho)``."""
+    """Counts the ascending spectra ``lam`` with ``event(lam, m, b, rho)``.
+
+    A trial counts for sure if its event holds with every eigenvalue raised
+    by ``_TIE_BAND * lambda_max``.  A trial whose event holds only with
+    every eigenvalue lowered by that much is decided on its `eigvalsh`
+    spectrum instead.  The closed-form M = 2 spectrum lies far inside the
+    band around the `eigvalsh` one, so every count equals the `eigvalsh`
+    count; for other M `_spectra` is `eigvalsh` already.
+    """
 
     M: int
     N: int
@@ -121,8 +170,15 @@ class _TailKernel:
         h = sample_complex_gaussian(self.N, self.M, rng, size=n_trials)
         events = 0
         for lo in range(0, n_trials, _SPECTRUM_CHUNK):
-            lam = _spectra(h[lo:lo + _SPECTRUM_CHUNK])
-            events += int(np.count_nonzero(self.event(lam, self.m, self.b, rho)))
+            chunk = h[lo:lo + _SPECTRUM_CHUNK]
+            lam = _spectra(chunk)
+            band = _TIE_BAND * lam[:, -1:]
+            sure = self.event(lam + band, self.m, self.b, rho)
+            near = self.event(lam - band, self.m, self.b, rho) & ~sure
+            events += int(np.count_nonzero(sure))
+            if near.any():
+                exact = _eigvalsh_spectra(chunk[near])
+                events += int(np.count_nonzero(self.event(exact, self.m, self.b, rho)))
         return events
 
 

@@ -133,6 +133,20 @@ class TestOutage:
         assert code == 1
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("step", ["0.001", "5e-324"])
+    def test_oversized_grid_fails_before_sweep(self, tmp_path, capsys,
+                                               monkeypatch, step):
+        # 35,001 points, and a point count that overflows to inf
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran on an oversized grid")
+
+        monkeypatch.setattr(diversity, "estimate_outage", no_sweep)
+        code, _, err = run(["outage", "--M", "2", "--N", "2", "--rate", "3",
+                            "--snr-step", step, "--out", str(tmp_path / "x.csv")],
+                           capsys)
+        assert code == 1
+        assert "more than 10000 points" in err
+
     @pytest.mark.parametrize("bad", ["csv", "report"])
     def test_unwritable_output_fails_before_sweep(self, tmp_path, capsys,
                                                   monkeypatch, bad):
@@ -225,6 +239,15 @@ class TestConfigFile:
         assert code == 0
         assert "m=2, diversity=4 (tight)" in out
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_file_workers_named(self, tmp_path, capsys, value):
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(f"workers={value}\nrate=3\n")
+        code, _, err = run(["outage", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert f"argument --workers: invalid positive int or 'auto' value: '{value}'" in err
+
 
 class TestVerifySubcommands:
     def test_verify_sinr_passes(self, capsys):
@@ -253,3 +276,11 @@ class TestUsageErrors:
         code, _, _ = run(["predict", "--M", "2", "--N", "2", "--rate", "1",
                           "--scaling", "wat"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_workers_flag_exits_1(self, tmp_path, capsys, value):
+        code, _, err = run(["outage", "--M", "2", "--N", "2", "--rate", "3",
+                            f"--workers={value}", "--out", str(tmp_path / "x.csv")],
+                           capsys)
+        assert code == 1
+        assert f"argument --workers: invalid positive int or 'auto' value: '{value}'" in err

@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from mmsediv import (ConfigurationError, FitWindow, TrialPolicy, WishartSpectrum,
                      derive_stream, fit_diversity_slope, log_density_unnormalized,
                      sample_ordered_spectrum, sample_spectra,
                      smallest_eigs_probability, tail_sum_probability,
-                     wilson_interval)
+                     wilson_interval, wishart)
+from mmsediv.randmat import sample_complex_gaussian
 
 
 def rng_for(*key):
@@ -46,6 +49,88 @@ class TestSpectrumSampling:
     def test_rejects_bad_dims(self):
         with pytest.raises(ConfigurationError):
             sample_spectra(3, 2, rng_for(5), 10)
+
+
+def mp_spectrum(h):
+    """Ascending eigenvalues of H^H H for one (N, 2) matrix, to 50 digits."""
+    with mpmath.workdps(50):
+        hm = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in h])
+        return sorted(float(v) for v in mpmath.eigh(hm.H * hm, eigvals_only=True))
+
+
+class TestClosedFormSpectra:
+    """The closed-form M = 2 spectra that `wishart._spectra` returns."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_near_degenerate_rows_stay_ordered(self, N):
+        # orthonormal columns scaled alike: both eigenvalues agree to rounding
+        n = 200_000
+        rng = rng_for(20, N)
+        z = rng.standard_normal((n, N, 2)) + 1j * rng.standard_normal((n, N, 2))
+        q = np.linalg.qr(z)[0]
+        lam = wishart._spectra(q * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 1)))
+        assert np.all(np.isfinite(lam))
+        assert np.all(lam >= 0.0)
+        assert np.all(lam[:, 0] <= lam[:, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_zero_channel_gives_zero_spectrum(self, N):
+        lam = wishart._spectra(np.zeros((3, N, 2), dtype=complex))
+        assert np.array_equal(lam, np.zeros((3, 2)))
+
+    @given(N=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-30.0, 30.0), log_ratio=st.floats(-8.0, 8.0),
+           shape=st.sampled_from(["generic", "rank-1", "rank-1+eps"]),
+           log_eps=st.floats(-16.0, -2.0))
+    def test_matches_mpmath(self, N, seed, log_scale, log_ratio, shape, log_eps):
+        # both paths within 1e-13 lambda_max of the 50-digit spectrum
+        rng = np.random.default_rng(seed)
+
+        def column():
+            return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+
+        x = column()
+        if shape == "generic":
+            y = column()
+        else:
+            y = complex(column()[0]) * x
+            if shape == "rank-1+eps":
+                y = y + 10.0 ** log_eps * column()
+        h = 10.0 ** log_scale * np.stack([x, 10.0 ** log_ratio * y], axis=1)
+        exact = np.array(mp_spectrum(h))
+        for lam in (wishart._spectra(h[None])[0],
+                    wishart._eigvalsh_spectra(h[None])[0]):
+            assert np.all(np.abs(lam - exact) <= 1e-13 * exact[1])
+
+
+class TestTieBreak:
+    """Trials within `_TIE_BAND` of a threshold are decided by eigvalsh."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("event", [wishart._sum_below, wishart._mth_below])
+    def test_threshold_on_an_eigvalsh_eigenvalue(self, monkeypatch, event, m, N):
+        n = 5000
+        h = sample_complex_gaussian(N, 2, rng_for(30, N), size=n)
+        # the reference spectra: a Gram einsum, eigvalsh and a clamp at zero
+        lam = np.maximum(np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h)),
+                         0.0)
+        # rho = 1 puts the threshold exactly on trial 0's eigenvalues
+        b = float(lam[:1, :m].sum(axis=1)[0] if event is wishart._sum_below
+                  else lam[0, m - 1])
+        expected = int(np.count_nonzero(event(lam, m, b, 1.0)))
+        rows = []
+        eigvalsh_spectra = wishart._eigvalsh_spectra
+
+        def counting(h_near):
+            rows.append(h_near.shape[0])
+            return eigvalsh_spectra(h_near)
+
+        monkeypatch.setattr(wishart, "_eigvalsh_spectra", counting)
+        kernel = wishart._TailKernel(M=2, N=N, m=m, b=b, event=event)
+        assert kernel(1.0, rng_for(30, N), n) == expected
+        assert sum(rows) >= 1
 
 
 class TestLogDensity:
