@@ -292,6 +292,9 @@ def cmd_outage(spec):
     if grid.size < 3:
         raise ConfigurationError(
             f"slope fitting needs at least 3 grid points, grid has {grid.size}")
+    if not (math.isfinite(spec.d_tolerance) and spec.d_tolerance >= 0.0):
+        raise ConfigurationError(
+            f"d-tolerance must be finite and >= 0, got {spec.d_tolerance}")
     report_path = spec.out + ".report.txt"
     for path in (spec.out, report_path):
         _check_writable(path)
@@ -368,3 +371,7 @@ def main(argv=None):
 
 def entry_point():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

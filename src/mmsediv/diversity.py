@@ -184,22 +184,6 @@ def resolve_rate_regime(cfg):
     return resolve_rate_regime_selective(cfg.M, cfg.N, cfg.L, cfg.K, cfg.R)
 
 
-_CHUNK_BYTES = 4 * 2**20
-_MAX_CHUNK = 65536
-
-
-def _capacity_chunk_size(n_bins, n_tx):
-    """Trials per capacity evaluation, from the bytes of its per-bin arrays.
-
-    A trial's per-bin Gram matrices hold ``K * M * M`` complex values; the
-    chunk keeps their total near `_CHUNK_BYTES` whatever M and K are, so
-    the memory of a kernel call is bounded and its temporaries stay in
-    cache (1024 trials at M = 2, K = 64).
-    """
-    per_trial = 16 * n_bins * n_tx * n_tx
-    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_trial))
-
-
 @dataclass(frozen=True)
 class _OutageKernel:
     """Counts capacity outages; ``n_taps == 1`` is flat fading."""
@@ -214,9 +198,7 @@ class _OutageKernel:
     def __call__(self, rho, rng, n_trials):
         taps = sample_complex_gaussian(self.n_rx, self.n_tx, rng,
                                        size=(n_trials, self.n_taps))
-        # a flat channel has one Gram matrix for every bin
-        bins = self.n_bins if self.n_taps > 1 else 1
-        chunk = _capacity_chunk_size(bins, self.n_tx)
+        chunk = mmse._capacity_chunk_size(taps.shape[1:], self.n_bins)
         events = 0
         for lo in range(0, n_trials, chunk):
             cap = mmse.selective_capacity_batch(taps[lo:lo + chunk], rho,

@@ -17,8 +17,9 @@ realization and turns them into per-bin Gram entries with one real matrix
 product against a (2L-1, K) cosine/sine basis; the K per-bin channel
 matrices ``H(k)`` are never formed.  For M <= 2 the Hermitian entries
 ``G00``, ``G11`` and ``Re/Im G01`` are carried as real arrays.  Flat
-fading is the L = 1 case: the only lag is ``R_0 = H^H H``, every bin holds
-the same Gram matrix, and the bin transform is skipped.
+fading is the L = 1 case of this path and has no route of its own: the
+only lag is ``R_0 = H^H H`` and every bin holds that Gram matrix, so the
+path runs with a single bin.
 
 `transfer_function` (the per-bin DFT ``H(k)``) is kept as the public
 per-bin reference, and a time-domain construction on the explicit
@@ -162,10 +163,6 @@ def _lower_triangular_inverse(lower):
     return inv
 
 
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
-
-
 def _diag_inverse_2x2(a, b_abs2, c):
     """Inverse diagonal of Hermitian PD [[a, b], [conj(b), c]], Cholesky form.
 
@@ -193,32 +190,6 @@ def spd_inverse_diagonal(mats):
     lower = _cholesky_lower(mats)
     inv = _lower_triangular_inverse(lower)
     return np.sum((inv * inv.conj()).real, axis=-2)
-
-
-def _regularized_inverse_diagonal(h, c):
-    """Diagonal of (I + c H^H H)^{-1} for channel stacks h of shape (..., N, M).
-
-    Avoids materializing the Gram matrices for M <= 2; the generic path
-    builds them and goes through `spd_inverse_diagonal`.
-    """
-    m = h.shape[-1]
-    if m == 1:
-        col = h[..., 0]
-        power = np.sum(_abs2(col), axis=-1)
-        return (1.0 / (1.0 + c * power))[..., None]
-    if m == 2:
-        h0 = h[..., 0]
-        h1 = h[..., 1]
-        s00 = np.sum(_abs2(h0), axis=-1)
-        s11 = np.sum(_abs2(h1), axis=-1)
-        s01 = np.sum(h0.conj() * h1, axis=-1)
-        d0, d1 = _diag_inverse_2x2(1.0 + c * s00, _abs2(c * s01), 1.0 + c * s11)
-        return np.stack([d0, d1], axis=-1)
-    gram = np.einsum("...nj,...nk->...jk", h.conj(), h)
-    gram *= c
-    idx = np.arange(m)
-    gram[..., idx, idx] += 1.0
-    return spd_inverse_diagonal(gram)
 
 
 def _sinrs_from_mse(mse):
@@ -308,13 +279,17 @@ def _tap_autocorrelation(taps):
     """Lags ``R_d = sum_l T_l^H T_{l+d}``, d = 0..L-1, of (L, N, M, n) taps.
 
     Realizations run along the last axis, so every product is a
-    contiguous length-n vector operation; each ``R_d`` is (M, M, n).
+    contiguous length-n vector operation; the lags are stacked (L, M, M, n).
     """
-    n_taps = taps.shape[0]
+    n_taps, _, m, n = taps.shape
     conj = taps.conj()
-    return [sum((conj[l, :, :, None] * taps[l + d, :, None, :]).sum(axis=0)
-                for l in range(n_taps - d))
-            for d in range(n_taps)]
+    # summed in place: a fresh array per partial sum, at the same peak of
+    # live bytes, left flat Monte Carlo workers with ~2 MB more resident
+    lags = np.zeros((n_taps, m, m, n), dtype=complex)
+    for d in range(n_taps):
+        for l in range(n_taps - d):
+            lags[d] += (conj[l, :, :, None] * taps[l + d, :, None, :]).sum(axis=0)
+    return lags
 
 
 def _bin_basis(n_taps, n_bins):
@@ -332,33 +307,56 @@ def _gram_coefficients(taps, c):
     so every coefficient matrix is Hermitian.
     """
     lags = _tap_autocorrelation(taps)
-    tail = np.stack(lags[1:])
+    tail = lags[1:]
     tail_h = tail.conj().swapaxes(1, 2)
-    coefs = np.concatenate([lags[0][None], tail + tail_h, -1j * (tail - tail_h)])
+    coefs = np.concatenate([lags[:1], tail + tail_h, -1j * (tail - tail_h)])
     coefs *= c
     diag = np.arange(taps.shape[2])
     coefs[0, diag, diag] += 1.0
     return coefs
 
 
+_CHUNK_BYTES = 4 * 2**20
+_MAX_CHUNK = 65536
+
+
+def _capacity_chunk_size(tap_shape, n_bins):
+    """Realizations per `_mse` call that keep its temporaries near `_CHUNK_BYTES`.
+
+    Bytes per realization of (L, N, M) taps: for L > 1 the K per-bin Gram
+    matrices, ``16 K M^2`` (1024 realizations at M = 2, K = 64); for one
+    bin the tap side, ``16 (2 N M + N M^2 + 2 M^2)``: the contiguous and
+    conjugated taps, one (N, M, M) lag product and two lag sums, the
+    measured peak of a flat call (384 at M = N = 2).  The L > 1 rule must
+    not move: the chunk decides which basis-GEMM columns hold a
+    realization, and so the last bits of its capacity.
+    """
+    n_taps, n_rx, m = tap_shape
+    if n_taps > 1:
+        per_trial = 16 * n_bins * m * m
+    else:
+        per_trial = 16 * (2 * n_rx * m + n_rx * m * m + 2 * m * m)
+    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_trial))
+
+
 def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     """Per-stream MMSE MSE of (..., L, N, M) tap stacks, averaged over K bins.
 
-    L = 1 is flat fading: every bin holds ``R_0 = H^H H`` and no bin
-    transform is made.  Otherwise the per-bin Gram entries come from the
-    lag coefficients by one product with the (2L-1, K) basis; for M <= 2
-    only the real Hermitian entries G00, G11, Re/Im G01 are transformed.
+    The per-bin Gram entries come from the lag coefficients by one product
+    with the (2L-1, K) basis; for M <= 2 only the real Hermitian entries
+    G00, G11, Re/Im G01 are transformed.  There is no flat route: L = 1 is
+    the one-bin case, as every bin holds ``R_0 = H^H H``, and its basis
+    ``[[1.0]]`` makes the product exact.
     """
     *lead, n_taps, n_rx, m = taps.shape
     n_bins = int(n_bins)
     _check_block_length(n_taps, n_bins)
     c = noise_scaling(rho, m, n_taps, scaling)
-    if n_taps == 1:
-        return _regularized_inverse_diagonal(taps[..., 0, :, :], c)
+    bins = n_bins if n_taps > 1 else 1
     # realizations last, as `_tap_autocorrelation` expects
     stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
     coefs = _gram_coefficients(np.ascontiguousarray(stack), c)
-    basis = _bin_basis(n_taps, n_bins)
+    basis = _bin_basis(n_taps, bins)
     if m > 2:
         gram = np.moveaxis(np.tensordot(basis, coefs, axes=([0], [0])), -1, 0)
         return spd_inverse_diagonal(gram).mean(axis=1).reshape(*lead, m)
@@ -367,7 +365,7 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
         rows += [coefs[:, 1, 1].real, coefs[:, 0, 1].real, coefs[:, 0, 1].imag]
     # one GEMM for every entry and realization: (K, 2L-1) @ (2L-1, entries * n)
     entries = basis.T @ np.stack(rows, axis=1).reshape(len(basis), -1)
-    entries = entries.reshape(n_bins, len(rows), -1)
+    entries = entries.reshape(bins, len(rows), -1)
     if m == 1:
         pivot = entries[:, 0]
         _require_positive(pivot)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -193,7 +194,8 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
     rho_grid : 1-D array of strictly increasing positive linear SNRs.
     policy : TrialPolicy, optional
     master_seed : int
-        Root of all per-block streams; echoed on the returned curve.
+        Non-negative root of all per-block streams; echoed on the returned
+        curve.
     workers : int or "auto"
         Number of processes; the result is identical for every value.
     scenario : str
@@ -201,6 +203,9 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
     snr_db_grid : optional matching grid in dB; derived from rho if omitted.
     """
     policy = TrialPolicy() if policy is None else policy
+    if not isinstance(master_seed, numbers.Integral) or master_seed < 0:
+        raise ConfigurationError(
+            f"master_seed must be a non-negative integer, got {master_seed!r}")
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size < 1:
         raise ConfigurationError("rho grid must be a non-empty 1-D array")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mmsediv
 from mmsediv import __version__, diversity
 from mmsediv.cli import (CSV_HEADER, main, read_curve_csv, write_curve_csv)
 from mmsediv.montecarlo import BinomialCurve, CurvePoint
@@ -147,6 +152,34 @@ class TestOutage:
         assert code == 1
         assert "more than 10000 points" in err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_d_tolerance_fails_before_sweep(self, tmp_path, capsys,
+                                                monkeypatch, source, value):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran with an unusable d-tolerance")
+
+        monkeypatch.setattr(diversity, "estimate_outage", no_sweep)
+        args = ["outage", "--M", "2", "--N", "2", "--rate", "3",
+                "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            args.append(f"--d-tolerance={value}")
+        else:
+            cfg = tmp_path / "tol.cfg"
+            cfg.write_text(f"d-tolerance={value}\n")
+            args += ["--config", str(cfg)]
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert "d-tolerance must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, workers):
+        code, _, err = run(["outage", "--M", "2", "--N", "2", "--rate", "3",
+                            "--seed", "-1", "--workers", workers,
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert "master_seed must be a non-negative integer, got -1" in err
+
     @pytest.mark.parametrize("bad", ["csv", "report"])
     def test_unwritable_output_fails_before_sweep(self, tmp_path, capsys,
                                                   monkeypatch, bad):
@@ -265,6 +298,22 @@ class TestVerifySubcommands:
         code, out, _ = run(["verify-haar", "--seed", "5"], capsys)
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("args, code, text", [
+        (["predict", "--rate", "1.2"], 0, "m=2, diversity=4 (tight)"),
+        (["predict"], 1, "a target rate is required"),
+    ], ids=["rate", "no-rate"])
+    def test_python_m_runs_the_cli(self, args, code, text):
+        src = os.path.dirname(os.path.dirname(mmsediv.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mmsediv.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == code
+        assert text in (proc.stdout if code == 0 else proc.stderr)
 
 
 class TestUsageErrors:

@@ -10,7 +10,8 @@ from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      estimate_outage, fit_diversity_slope,
                      resolve_rate_regime, resolve_rate_regime_flat,
                      resolve_rate_regime_selective, wilson_interval)
-from mmsediv import mmse
+from mmsediv import mmse, montecarlo
+from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
 
 
 def make_curve(rhos, ps, trials=10 ** 6, converged=True, scenario="synthetic"):
@@ -271,6 +272,24 @@ class TestEstimateOutage:
             estimate_outage(cfg, [5.0, 5.0], master_seed=0)
         with pytest.raises(ConfigurationError):
             estimate_outage(cfg, [], master_seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("estimate", [
+        lambda seed: estimate_outage(SystemConfig(M=2, N=2, R=1.0), [0.0, 5.0],
+                                     master_seed=seed, workers=2),
+        lambda seed: tail_sum_probability(2, 2, 1, 1.0, [1.0, 2.0],
+                                          master_seed=seed, workers=2),
+        lambda seed: smallest_eigs_probability(2, 2, 1, 1.0, [1.0, 2.0],
+                                               master_seed=seed, workers=2),
+    ], ids=["outage", "tail-sum", "smallest-eigs"])
+    def test_rejects_bad_master_seed_before_the_pool(self, monkeypatch,
+                                                     estimate, seed):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a worker pool opened for an invalid seed")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            estimate(seed)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):

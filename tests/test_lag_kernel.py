@@ -4,12 +4,14 @@ The capacity path builds each bin's Gram matrix from the tap
 autocorrelation instead of the per-bin channels; these tests hold it to a
 per-bin reference built from `transfer_function`, to the flat path at
 L = 1, and to monotonicity in the SNR.  A bound on the memory of one
-outage-kernel call covers the chunking of that path.
+outage-kernel call, for a selective and a flat link, covers the chunking
+of that path.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,9 +25,9 @@ REALIZATIONS = 3
 
 @st.composite
 def links(draw, max_taps=4):
-    """(taps, n_bins, scaling) with M in 1..4, N in M..M+2, L in 1..max_taps, K in L..32."""
+    """(taps, n_bins, scaling) with M in 1..4, N in M..M+6, L in 1..max_taps, K in L..32."""
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(m, m + 2))
+    n = draw(st.integers(m, m + 6))
     n_taps = draw(st.integers(1, max_taps))
     n_bins = draw(st.integers(n_taps, 32))
     scaling = draw(st.sampled_from(["per-tap", "paper"]))
@@ -76,15 +78,21 @@ def test_capacity_nondecreasing_in_snr(link, snr, step_db):
     assert np.all(high >= low * (1.0 - 1e-12))
 
 
-def test_outage_kernel_memory_is_bounded():
+@pytest.mark.parametrize("link, n_trials, limit_mib", [
     # 2048 trials of an 8x8, 4-tap link over 256 bins: the per-bin Gram
     # matrices alone would take 2048 * 256 * 64 * 16 B = 512 MiB at once
-    kernel = _OutageKernel(n_tx=8, n_rx=8, n_taps=4, n_bins=256, rate=20.0,
-                           scaling="per-tap")
+    (dict(n_tx=8, n_rx=8, n_taps=4, n_bins=256, rate=20.0), 2048, 64),
+    # one flat 2x2 block: sampling peaks near 24 MiB; the capacity stage
+    # holds 12 MiB of taps plus a chunk's temporaries, which lag chunks
+    # sized for one Gram matrix per trial (65536 * 384 B) push past 30 MiB
+    (dict(n_tx=2, n_rx=2, n_taps=1, n_bins=1, rate=1.2), 200_000, 30),
+], ids=["selective", "flat"])
+def test_outage_kernel_memory_is_bounded(link, n_trials, limit_mib):
+    kernel = _OutageKernel(scaling="per-tap", **link)
     tracemalloc.start()
     try:
-        kernel(10.0, derive_stream(0, 0, 0), 2048)
+        kernel(10.0, derive_stream(0, 0, 0), n_trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < limit_mib * 2**20
