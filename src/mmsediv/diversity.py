@@ -26,7 +26,8 @@ import numpy as np
 
 from . import mmse
 from .exceptions import (ApplicabilityError, BoundaryRateError,
-                         ConfigurationError, InsufficientDataError)
+                         ConfigurationError, InsufficientDataError,
+                         _require_integers)
 from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
@@ -59,6 +60,7 @@ class SystemConfig:
     scaling: str = "per-tap"
 
     def __post_init__(self):
+        _require_integers(M=self.M, N=self.N, L=self.L, K=self.K)
         if self.M < 1:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
         if self.N < self.M:

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the integer check."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +25,10 @@ class NumericalError(ArithmeticError):
 
 class NumericalHealthWarning(RuntimeWarning):
     """Roundoff produced values outside the expected numerical slack."""
+
+
+def _require_integers(**values):
+    """Raise `ConfigurationError` unless every value is an integer, numpy's too."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")

@@ -15,8 +15,9 @@ structure of the cyclic-prefix channel)::
 The capacity path therefore computes the L lag matrices ``R_d`` once per
 realization and turns them into per-bin Gram entries with one real matrix
 product against a (2L-1, K) cosine/sine basis; the K per-bin channel
-matrices ``H(k)`` are never formed.  For M <= 2 the Hermitian entries
-``G00``, ``G11`` and ``Re/Im G01`` are carried as real arrays.  Flat
+matrices ``H(k)`` are never formed.  Only the real entries of each
+Hermitian ``G(k)`` are carried: the diagonal and the real and imaginary
+parts of the upper triangle.  Flat
 fading is the L = 1 case of this path and has no route of its own: the
 only lag is ``R_0 = H^H H`` and every bin holds that Gram matrix, so the
 path runs with a single bin.
@@ -34,18 +35,21 @@ for one tap.  Rescaling rho by a constant shifts outage curves
 horizontally and leaves fitted diversity slopes unchanged, so the choice
 does not affect diversity results.
 
-All diagonal-of-inverse computations go through a Cholesky factorization
-followed by triangular column solves; no cofactor/adjugate inversion is
-used anywhere on the primary path.
+Every diagonal of an inverse, for every M, comes from one elimination in
+real arithmetic (`_inverse_diagonal`): it factors ``G = U^H D U`` and sums
+the scaled rows of ``U^{-1}`` against the reciprocal pivots; no
+cofactor/adjugate inversion is used anywhere on the primary path.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError, NumericalHealthWarning
+from .exceptions import (ConfigurationError, NumericalError, NumericalHealthWarning,
+                         _require_integers)
 
 __all__ = [
     "SCALING_CONVENTIONS",
@@ -127,69 +131,69 @@ def noise_scaling(rho, n_streams, n_taps=1, scaling="per-tap"):
         f"unknown scaling convention {scaling!r}; expected one of {SCALING_CONVENTIONS}")
 
 
-def _require_positive(pivot):
-    if not np.all(pivot > 0.0):
-        raise NumericalError("Cholesky factorization hit a nonpositive pivot")
+def _inverse_diagonal(diag, upper):
+    """Diagonal of ``G^{-1}`` for Hermitian positive-definite G, in real arithmetic.
 
+    ``diag[j]`` is ``G_jj`` and ``upper`` the real, then the imaginary
+    parts of ``G_jk``, j < k, in `np.triu_indices` order: real arrays of
+    one shape, one matrix per element.  Returns the list of M diagonals.
 
-def _cholesky_lower(mats):
-    """Batched lower Cholesky factor of Hermitian positive-definite stacks."""
-    mats = np.asarray(mats, dtype=complex)
-    m = mats.shape[-1]
-    lower = np.zeros_like(mats)
-    for j in range(m):
-        pivot = mats[..., j, j].real - np.sum(
-            (lower[..., j, :j] * lower[..., j, :j].conj()).real, axis=-1)
-        _require_positive(pivot)
-        piv_root = np.sqrt(pivot)
-        lower[..., j, j] = piv_root
-        if j + 1 < m:
-            off = mats[..., j + 1:, j] - np.einsum(
-                "...ik,...k->...i", lower[..., j + 1:, :j], lower[..., j, :j].conj())
-            lower[..., j + 1:, j] = off / piv_root[..., None]
-    return lower
-
-
-def _lower_triangular_inverse(lower):
-    """Batched inverse of lower-triangular stacks by forward substitution."""
-    m = lower.shape[-1]
-    inv = np.zeros_like(lower)
-    diag_inv = 1.0 / np.einsum("...ii->...i", lower)
-    for j in range(m):
-        inv[..., j, j] = diag_inv[..., j]
-        for i in range(j + 1, m):
-            acc = np.einsum("...k,...k->...", lower[..., i, j:i], inv[..., j:i, j])
-            inv[..., i, j] = -acc * diag_inv[..., i]
-    return inv
-
-
-def _diag_inverse_2x2(a, b_abs2, c):
-    """Inverse diagonal of Hermitian PD [[a, b], [conj(b), c]], Cholesky form.
-
-    Takes ``|b|^2`` for the off-diagonal entry.  Order-2 Cholesky unrolled
-    into whole-array operations: pivots are ``a`` and ``c - |b|^2/a``;
-    both must be positive.
+    Eliminating row j from the trailing rows factors ``G = U^H D U`` with
+    rows ``w_j = D_j U_j`` and takes the Schur term ``|w_jk|^2 / D_j`` off
+    pivot k.  With the scaled rows ``z_j = D_j (U^{-1})_j``, where
+    ``z_{j,j+1} = -w_{j,j+1}`` reuses its Schur term,
+    ``(G^{-1})_jj = (1 + sum_{k>j} (|z_jk|^2 / D_j) (1 / D_k)) / D_j``.
+    At M = 2 that is ``d1 = 1/(c - |b|^2/a)``, ``d0 = (1 + (|b|^2/a) d1)/a``
+    step for step, and ``1/D_0`` is taken only when D_0 is the last pivot.
     """
-    _require_positive(a)
-    off_sq = b_abs2 / a
-    pivot = c - off_sq
-    _require_positive(pivot)
-    d1 = 1.0 / pivot
-    d0 = (1.0 + off_sq * d1) / a
-    return d0, d1
+    m = len(diag)
+    pairs = list(itertools.combinations(range(m), 2))
+    re = dict(zip(pairs, upper[:len(pairs)]))
+    im = dict(zip(pairs, upper[len(pairs):]))
+    piv, schur = list(diag), {}
+    for j in range(m):
+        if not np.all(piv[j] > 0.0):
+            raise NumericalError("elimination hit a nonpositive pivot")
+        for i in range(j + 1, m):
+            schur[j, i] = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
+            piv[i] = piv[i] - schur[j, i]
+            if i + 1 < m:
+                # G_ik -= conj(w_ji) w_jk / D_j right of pivot i
+                ur, ui = re[j, i] / piv[j], im[j, i] / piv[j]
+                for k in range(i + 1, m):
+                    re[i, k] = re[i, k] - (ur * re[j, k] + ui * im[j, k])
+                    im[i, k] = im[i, k] - (ur * im[j, k] - ui * re[j, k])
+    recip = {k: 1.0 / piv[k] for k in range(min(1, m - 1), m)}
+    out = [None] * (m - 1) + [recip[m - 1]]
+    for j in reversed(range(m - 1)):
+        # entry (j, k) becomes -z_jk = w_jk - sum_l (w_jl / D_l) (-z_lk)
+        scaled = {l: (re[j, l] * recip[l], im[j, l] * recip[l])
+                  for l in range(j + 1, m - 1)}
+        total = schur[j, j + 1] * recip[j + 1]
+        for k in range(j + 2, m):
+            for l in range(j + 1, k):
+                (sr, si), zr, zi = scaled[l], re[l, k], im[l, k]
+                re[j, k] = re[j, k] - (sr * zr - si * zi)
+                im[j, k] = im[j, k] - (sr * zi + si * zr)
+            total += (re[j, k] * re[j, k] + im[j, k] * im[j, k]) / piv[j] * recip[k]
+        # in place, like numpy's elided temporaries: a fresh array cost ~4 % trials/s
+        total += 1.0
+        total /= piv[j]
+        out[j] = total
+    return out
 
 
 def spd_inverse_diagonal(mats):
     """Diagonal of the inverse of Hermitian positive-definite matrices.
 
-    Accepts stacks of shape (..., M, M) and returns real (..., M).  One
-    algorithm for every M: a Cholesky factorization and per-column
-    triangular solves, looped over columns.  The capacity path's unrolled
-    M <= 2 form is `_diag_inverse_2x2`.
+    Accepts stacks of shape (..., M, M) and returns real (..., M).  Runs
+    `_inverse_diagonal` on the diagonal and the upper triangle.
     """
-    lower = _cholesky_lower(mats)
-    inv = _lower_triangular_inverse(lower)
-    return np.sum((inv * inv.conj()).real, axis=-2)
+    mats = np.asarray(mats, dtype=complex)
+    iu = np.triu_indices(mats.shape[-1], 1)
+    diag = np.moveaxis(np.diagonal(mats, axis1=-2, axis2=-1).real, -1, 0)
+    upper = np.moveaxis(mats[..., iu[0], iu[1]], -1, 0)
+    return np.stack(_inverse_diagonal(diag, [*upper.real, *upper.imag]), axis=-1)
 
 
 def _sinrs_from_mse(mse):
@@ -245,9 +249,12 @@ def capacity(sinrs):
 
 
 def _check_block_length(n_taps, n_bins):
+    """Block length K as an int; it must be an integer of at least L."""
+    _require_integers(K=n_bins)
     if n_bins < n_taps:
         raise ConfigurationError(
             f"block length K={n_bins} must be at least the tap count L={n_taps}")
+    return int(n_bins)
 
 
 def transfer_function(taps, n_bins):
@@ -262,8 +269,7 @@ def transfer_function(taps, n_bins):
     """
     taps = np.asarray(taps, dtype=complex)
     n_taps = taps.shape[-3]
-    n_bins = int(n_bins)
-    _check_block_length(n_taps, n_bins)
+    n_bins = _check_block_length(n_taps, n_bins)
     grid = np.outer(np.arange(n_taps), np.arange(n_bins))
     twiddle = np.exp(-2j * np.pi * grid / n_bins)
     lead = taps.shape[:-3]
@@ -323,8 +329,9 @@ _MAX_CHUNK = 65536
 def _capacity_chunk_size(tap_shape, n_bins):
     """Realizations per `_mse` call that keep its temporaries near `_CHUNK_BYTES`.
 
-    Bytes per realization of (L, N, M) taps: for L > 1 the K per-bin Gram
-    matrices, ``16 K M^2`` (1024 realizations at M = 2, K = 64); for one
+    Bytes per realization of (L, N, M) taps: for L > 1 twice the GEMM
+    output of ``8 K M^2`` real bytes, which leaves as much again for the
+    elimination's temporaries (1024 realizations at M = 2, K = 64); for one
     bin the tap side, ``16 (2 N M + N M^2 + 2 M^2)``: the contiguous and
     conjugated taps, one (N, M, M) lag product and two lag sums, the
     measured peak of a flat call (384 at M = N = 2).  The L > 1 rule must
@@ -343,36 +350,28 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     """Per-stream MMSE MSE of (..., L, N, M) tap stacks, averaged over K bins.
 
     The per-bin Gram entries come from the lag coefficients by one product
-    with the (2L-1, K) basis; for M <= 2 only the real Hermitian entries
-    G00, G11, Re/Im G01 are transformed.  There is no flat route: L = 1 is
-    the one-bin case, as every bin holds ``R_0 = H^H H``, and its basis
-    ``[[1.0]]`` makes the product exact.
+    with the (2L-1, K) basis, in the rows `_inverse_diagonal` reads: each
+    ``G_jj``, then Re and then Im of each ``G_jk``, j < k.  There is no
+    flat route: L = 1 is the one-bin case, as every bin holds
+    ``R_0 = H^H H``, and its basis ``[[1.0]]`` makes the product exact.
     """
     *lead, n_taps, n_rx, m = taps.shape
-    n_bins = int(n_bins)
-    _check_block_length(n_taps, n_bins)
+    n_bins = _check_block_length(n_taps, n_bins)
     c = noise_scaling(rho, m, n_taps, scaling)
     bins = n_bins if n_taps > 1 else 1
     # realizations last, as `_tap_autocorrelation` expects
     stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
     coefs = _gram_coefficients(np.ascontiguousarray(stack), c)
     basis = _bin_basis(n_taps, bins)
-    if m > 2:
-        gram = np.moveaxis(np.tensordot(basis, coefs, axes=([0], [0])), -1, 0)
-        return spd_inverse_diagonal(gram).mean(axis=1).reshape(*lead, m)
-    rows = [coefs[:, 0, 0].real]
-    if m == 2:
-        rows += [coefs[:, 1, 1].real, coefs[:, 0, 1].real, coefs[:, 0, 1].imag]
-    # one GEMM for every entry and realization: (K, 2L-1) @ (2L-1, entries * n)
+    pairs = list(itertools.combinations(range(m), 2))
+    rows = ([coefs[:, j, j].real for j in range(m)]
+            + [coefs[:, j, k].real for j, k in pairs]
+            + [coefs[:, j, k].imag for j, k in pairs])
+    # one GEMM for every entry and realization: (K, 2L-1) @ (2L-1, M^2 n)
     entries = basis.T @ np.stack(rows, axis=1).reshape(len(basis), -1)
-    entries = entries.reshape(bins, len(rows), -1)
-    if m == 1:
-        pivot = entries[:, 0]
-        _require_positive(pivot)
-        return (1.0 / pivot).mean(axis=0).reshape(*lead, 1)
-    a, d, b_re, b_im = (entries[:, i] for i in range(4))
-    d0, d1 = _diag_inverse_2x2(a, b_re * b_re + b_im * b_im, d)
-    return np.stack([d0.mean(axis=0), d1.mean(axis=0)], axis=-1).reshape(*lead, 2)
+    entries = np.moveaxis(entries.reshape(bins, m * m, -1), 1, 0)
+    inv_diag = _inverse_diagonal(entries[:m], entries[m:])
+    return np.stack([d.mean(axis=0) for d in inv_diag], axis=-1).reshape(*lead, m)
 
 
 def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
@@ -415,8 +414,7 @@ def block_circulant_operator(taps, n_blocks):
     """
     taps = np.asarray(taps, dtype=complex)
     n_taps, n_rx, n_tx = taps.shape
-    n_blocks = int(n_blocks)
-    _check_block_length(n_taps, n_blocks)
+    n_blocks = _check_block_length(n_taps, n_blocks)
     out = np.zeros((n_blocks * n_rx, n_blocks * n_tx), dtype=complex)
     for t in range(n_blocks):
         for lag in range(n_taps):
@@ -438,7 +436,7 @@ def selective_sinrs_oracle(taps, rho, n_bins, scaling="per-tap"):
         raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
     _check_finite(taps, "channel taps")
     n_taps, _, n_tx = taps.shape
-    n_bins = int(n_bins)
+    n_bins = _check_block_length(n_taps, n_bins)
     if n_bins * n_tx > ORACLE_SIZE_CAP:
         raise ConfigurationError(
             f"oracle size cap exceeded: K*M = {n_bins * n_tx} > {ORACLE_SIZE_CAP}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mmse
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, _require_integers
 from .randmat import derive_stream
 
 __all__ = [
@@ -67,6 +67,9 @@ class TrialPolicy:
     block_trials: int = 100_000
 
     def __post_init__(self):
+        _require_integers(max_trials=self.max_trials,
+                          target_events=self.target_events,
+                          block_trials=self.block_trials)
         if self.max_trials < 1:
             raise ConfigurationError(
                 f"max_trials must be >= 1, got {self.max_trials}")

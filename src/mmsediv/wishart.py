@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError
+from .exceptions import ConfigurationError, NumericalError, _require_integers
 from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
@@ -184,11 +184,12 @@ class _TailKernel:
 
 def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers):
     """Checks the arguments and estimates the event curve of one tail kind."""
+    _require_integers(M=M, N=N, m=m)
     _check_dims(M, N)
     if not 1 <= m <= M:
         raise ConfigurationError(f"need 1 <= m <= M, got m={m}, M={M}")
-    if b <= 0.0:
-        raise ConfigurationError(f"threshold b must be positive, got {b}")
+    if not (np.isfinite(b) and b > 0.0):
+        raise ConfigurationError(f"threshold b must be positive and finite, got {b}")
     kernel = _TailKernel(M=int(M), N=int(N), m=int(m), b=float(b), event=event)
     return estimate_binomial_curve(kernel, rho_grid, policy=policy,
                                    master_seed=master_seed, workers=workers,

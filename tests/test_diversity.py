@@ -186,6 +186,17 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(M=2, N=2, R=1.0, scaling="nope")
 
+    @pytest.mark.parametrize("field", ["M", "N", "L", "K"])
+    def test_rejects_non_integer_dimensions(self, field):
+        dims = dict(M=2, N=3, L=2, K=8)
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(R=3.0, **{**dims, field: dims[field] + 0.5})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SystemConfig(M=np.int64(2), N=np.int32(2), R=3.0, L=np.int64(2),
+                           K=np.int64(64))
+        assert cfg.label() == SystemConfig(M=2, N=2, R=3.0, L=2, K=64).label()
+
     def test_selective_flag_and_labels(self):
         flat = SystemConfig(M=2, N=2, R=3.0)
         sel = SystemConfig(M=2, N=2, R=3.0, L=2, K=64)
@@ -296,6 +307,18 @@ class TestEstimateOutage:
             TrialPolicy(max_trials=0)
         with pytest.raises(ConfigurationError):
             TrialPolicy(target_events=0)
+
+    @pytest.mark.parametrize("field", ["max_trials", "target_events", "block_trials"])
+    def test_policy_rejects_non_integer_counts(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            TrialPolicy(**{field: 2500.5})
+
+    def test_policy_repr_is_unchanged(self):
+        # benchmark count records are keyed on this repr
+        policy = TrialPolicy(max_trials=500_000, target_events=100,
+                             block_trials=20_000)
+        assert repr(policy) == ("TrialPolicy(max_trials=500000, target_events=100, "
+                                "block_trials=20000)")
 
 
 def _clamping_kernel(rho, rng, n_trials):

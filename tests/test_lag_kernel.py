@@ -25,8 +25,12 @@ REALIZATIONS = 3
 
 @st.composite
 def links(draw, max_taps=4):
-    """(taps, n_bins, scaling) with M in 1..4, N in M..M+6, L in 1..max_taps, K in L..32."""
-    m = draw(st.integers(1, 4))
+    """(taps, n_bins, scaling) with M in 1..6, N in M..M+6, L in 1..max_taps, K in L..32.
+
+    M >= 3 reaches the elimination terms of `mmse._inverse_diagonal` that
+    skip a row (``z_jk`` with k > j + 1).
+    """
+    m = draw(st.integers(1, 6))
     n = draw(st.integers(m, m + 6))
     n_taps = draw(st.integers(1, max_taps))
     n_bins = draw(st.integers(n_taps, 32))

@@ -112,6 +112,23 @@ class TestSelectiveSinrs:
         with pytest.raises(ConfigurationError):
             selective_sinrs(taps, 1.0, 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda taps: selective_sinrs(taps, 5.0, 8.7),
+        lambda taps: transfer_function(taps, 8.7),
+        lambda taps: block_circulant_operator(taps, 8.7),
+        lambda taps: selective_sinrs_oracle(taps, 5.0, 8.7),
+    ], ids=["selective_sinrs", "transfer_function", "block_circulant_operator",
+            "selective_sinrs_oracle"])
+    def test_rejects_non_integer_block_length(self, call):
+        taps = sample_complex_gaussian(2, 2, rng_for(16), size=2)
+        with pytest.raises(ConfigurationError, match="integer"):
+            call(taps)
+
+    def test_accepts_numpy_integer_block_length(self):
+        taps = sample_complex_gaussian(2, 2, rng_for(17), size=2)
+        assert np.array_equal(selective_sinrs(taps, 5.0, np.int64(8)),
+                              selective_sinrs(taps, 5.0, 8))
+
     def test_rejects_unknown_scaling(self):
         taps = sample_complex_gaussian(2, 2, rng_for(15), size=2)
         with pytest.raises(ConfigurationError):
@@ -182,7 +199,7 @@ class TestBatchPaths:
 
 
 class TestSpdInverseDiagonal:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8])
     def test_matches_full_inverse(self, m):
         a = sample_complex_gaussian(m + 2, m, rng_for(40, m))
         s = np.eye(m) + 0.8 * a.conj().T @ a
@@ -196,6 +213,16 @@ class TestSpdInverseDiagonal:
         s[m - 1, m - 1] = 0.0
         with pytest.raises(NumericalError):
             spd_inverse_diagonal(s)
+
+    def test_two_by_two_is_the_closed_form_bit_for_bit(self):
+        # the capacity path's M = 2 counts rest on exactly these operations
+        a = sample_complex_gaussian(3, 2, rng_for(42), size=1000)
+        s = np.eye(2) + 3.0 * np.einsum("bnj,bnk->bjk", a.conj(), a)
+        g00, g11, b = s[:, 0, 0].real, s[:, 1, 1].real, s[:, 0, 1]
+        off_sq = (b.real * b.real + b.imag * b.imag) / g00
+        d1 = 1.0 / (g11 - off_sq)
+        d0 = (1.0 + off_sq * d1) / g00
+        assert np.array_equal(spd_inverse_diagonal(s), np.stack([d0, d1], axis=-1))
 
     def test_batched_input(self):
         a = sample_complex_gaussian(4, 3, rng_for(41), size=10)

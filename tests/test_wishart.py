@@ -263,6 +263,15 @@ class TestTailCurves:
         with pytest.raises(ConfigurationError):
             smallest_eigs_probability(2, 2, 1, -1.0, [1.0, 2.0])
 
+    @pytest.mark.parametrize("args", [(2.5, 3, 1, 1.0), (2, 3.0, 1, 1.0),
+                                      (2, 3, 1.5, 1.0), (2, 3, 1, np.nan),
+                                      (2, 3, 1, np.inf)],
+                             ids=["M", "N", "m", "b-nan", "b-inf"])
+    def test_rejects_non_integer_dims_and_non_finite_threshold(self, args):
+        for estimate in (tail_sum_probability, smallest_eigs_probability):
+            with pytest.raises(ConfigurationError):
+                estimate(*args, [1.0, 2.0])
+
     def test_point_schema_matches_outage_schema(self):
         policy = TrialPolicy(max_trials=2000, target_events=10, block_trials=1000)
         curve = tail_sum_probability(1, 1, 1, 1.0, [5.0], policy=policy,
