@@ -51,10 +51,14 @@ def selective_table(m_streams, n_rx, taps, block):
         print(f"{rate:7.2f} {reg.m:3d} {str(reg.tight):>6} {div:>12}")
 
 
-if __name__ == "__main__":
+def main():
     flat_table(2, 2)
     flat_table(2, 4)
     flat_table(4, 4)
     selective_table(2, 2, 2, 64)
     # small K narrows the tight regions and opens visible gap brackets
     selective_table(2, 2, 2, 8)
+
+
+if __name__ == "__main__":
+    main()

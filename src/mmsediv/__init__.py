@@ -23,13 +23,10 @@ from .mmse import (block_circulant_operator, capacity, flat_capacity_batch,
                    spd_inverse_diagonal, transfer_function)
 from .montecarlo import (BinomialCurve, CurvePoint, TrialPolicy,
                          estimate_binomial_curve, wilson_interval)
-from .randmat import (HaarAngles, derive_stream, givens_rotation,
-                      sample_complex_gaussian, sample_haar_angles,
+from .randmat import (derive_stream, sample_complex_gaussian,
                       sample_haar_qr_oracle, sample_haar_recursive,
-                      sample_sin_power_angle, unitarity_residual,
-                      unitary_from_angles)
-from .wishart import (WishartSpectrum, log_density_unnormalized,
-                      sample_ordered_spectrum, sample_spectra,
+                      unitarity_residual)
+from .wishart import (log_density_unnormalized, sample_spectra,
                       smallest_eigs_probability, tail_sum_probability)
 
 __all__ = [
@@ -39,7 +36,6 @@ __all__ = [
     "ConfigurationError",
     "CurvePoint",
     "FitWindow",
-    "HaarAngles",
     "InsufficientDataError",
     "NumericalError",
     "NumericalHealthWarning",
@@ -47,7 +43,6 @@ __all__ = [
     "SlopeFit",
     "SystemConfig",
     "TrialPolicy",
-    "WishartSpectrum",
     "block_circulant_operator",
     "capacity",
     "derive_stream",
@@ -56,18 +51,14 @@ __all__ = [
     "fit_diversity_slope",
     "flat_capacity_batch",
     "flat_sinrs",
-    "givens_rotation",
     "log_density_unnormalized",
     "noise_scaling",
     "resolve_rate_regime",
     "resolve_rate_regime_flat",
     "resolve_rate_regime_selective",
     "sample_complex_gaussian",
-    "sample_haar_angles",
     "sample_haar_qr_oracle",
     "sample_haar_recursive",
-    "sample_ordered_spectrum",
-    "sample_sin_power_angle",
     "sample_spectra",
     "selective_capacity_batch",
     "selective_sinrs",
@@ -77,6 +68,5 @@ __all__ = [
     "tail_sum_probability",
     "transfer_function",
     "unitarity_residual",
-    "unitary_from_angles",
     "wilson_interval",
 ]

@@ -157,6 +157,7 @@ def resolve_rate_regime_selective(M, N, L, K, R):
     regime's upper edge ``log2(M/(m-1))`` itself, which ``-log2((m-1)/M)``
     can miss by one ulp.
     """
+    _require_integers(M=M, N=N, L=L, K=K)
     if M < 1 or N < M:
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
     if L < 1 or K < max(1, L):

@@ -37,10 +37,11 @@ __all__ = [
 WILSON_Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes, trials, z=WILSON_Z_95):
-    """Wilson score interval; well behaved at small and zero counts."""
+def wilson_interval(successes, trials):
+    """Wilson 95% score interval; well behaved at small and zero counts."""
     if trials <= 0:
         return 0.0, 1.0
+    z = WILSON_Z_95
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -178,10 +179,10 @@ def resolve_workers(workers):
     """Normalize a worker-count request ('auto'/None -> cpu count)."""
     if workers in (None, "auto"):
         return max(1, os.cpu_count() or 1)
-    workers = int(workers)
+    _require_integers(workers=workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
+    return int(workers)
 
 
 def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,

@@ -13,23 +13,16 @@ one generator per unit of work from a master seed with `derive_stream`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, _require_integers
 
 __all__ = [
-    "HaarAngles",
     "derive_stream",
-    "givens_rotation",
     "sample_complex_gaussian",
-    "sample_haar_angles",
     "sample_haar_qr_oracle",
     "sample_haar_recursive",
-    "sample_sin_power_angle",
     "unitarity_residual",
-    "unitary_from_angles",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -60,92 +53,17 @@ def sample_complex_gaussian(rows, cols, rng, size=None):
     variance 1/2 each.  With ``size`` given (an int or tuple), a stack of
     independent matrices with that leading shape is returned.
     """
-    rows = int(rows)
-    cols = int(cols)
+    _require_integers(rows=rows, cols=cols)
     if rows < 1 or cols < 1:
         raise ConfigurationError(
             f"matrix dimensions must be positive, got {rows}x{cols}")
     if size is None:
-        shape = (rows, cols)
+        size = ()
     elif np.isscalar(size):
-        shape = (int(size), rows, cols)
-    else:
-        shape = (*(int(s) for s in size), rows, cols)
-    return _complex_gaussian(shape, rng)
-
-
-def sample_sin_power_angle(k, rng, size=None):
-    """Angle on [0, pi/2] with density proportional to sin(theta)^k.
-
-    Exact and rejection-free: if theta has density proportional to
-    sin^k(theta) then cos^2(theta) is Beta(1/2, (k+1)/2) distributed, so
-    a Beta draw mapped through arccos(sqrt(.)) has the required law.  The
-    normalization constant of the density is never needed.
-    """
-    if k < 0 or int(k) != k:
-        raise ConfigurationError(
-            f"sine exponent must be a nonnegative integer, got {k}")
-    s = rng.beta(0.5, 0.5 * (k + 1.0), size=size)
-    return np.arccos(np.sqrt(s))
-
-
-def givens_rotation(i, theta, n):
-    """n x n identity with a plane rotation embedded on axes (i, i+1).
-
-    ``i`` is 1-based; the embedded 2x2 block is
-    ``[[cos t, -sin t], [sin t, cos t]]`` and the result is real
-    orthogonal.
-    """
-    n = int(n)
-    if n < 2:
-        raise ConfigurationError(f"rotation order must be at least 2, got {n}")
-    if not 1 <= i <= n - 1:
-        raise ConfigurationError(
-            f"rotation index must lie in [1, {n - 1}], got {i}")
-    c = float(np.cos(theta))
-    s = float(np.sin(theta))
-    out = np.eye(n)
-    out[i - 1, i - 1] = c
-    out[i - 1, i] = -s
-    out[i, i - 1] = s
-    out[i, i] = c
-    return out
-
-
-@dataclass(frozen=True)
-class HaarAngles:
-    """Angular coordinates of a unitary matrix of a given order.
-
-    Level ``j`` (0-based) acts on the trailing block of order
-    ``n = order - j`` and carries ``n`` phases plus ``n - 1`` rotation
-    angles; the innermost level is a bare phase.  The total parameter
-    count is always ``order**2``.
-    """
-
-    order: int
-    phases: tuple
-    angles: tuple
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {self.order}")
-        if len(self.phases) != self.order or len(self.angles) != self.order:
-            raise ConfigurationError("expected one phase/angle array per level")
-        for j in range(self.order):
-            n = self.order - j
-            ph = np.asarray(self.phases[j], dtype=float)
-            th = np.asarray(self.angles[j], dtype=float)
-            if ph.shape != (n,) or th.shape != (n - 1,):
-                raise ConfigurationError(
-                    f"level {j} must hold {n} phases and {n - 1} angles")
-            if np.any(ph < 0.0) or np.any(ph >= _TWO_PI):
-                raise ConfigurationError("phases must lie in [0, 2*pi)")
-            if np.any(th < 0.0) or np.any(th > 0.5 * np.pi):
-                raise ConfigurationError("angles must lie in [0, pi/2]")
-
-    @property
-    def n_parameters(self):
-        return sum(len(p) for p in self.phases) + sum(len(a) for a in self.angles)
+        size = (size,)
+    for n in size:
+        _require_integers(size=n)
+    return _complex_gaussian((*size, rows, cols), rng)
 
 
 def _draw_angle_arrays(order, rng, batch):
@@ -192,21 +110,13 @@ def _build_unitaries(phases, angles):
     return u
 
 
-def sample_haar_angles(order, rng):
-    """Draw angular coordinates whose assembled matrix is Haar distributed."""
+def _haar_batch(order, size):
+    """Checks a Haar sampler's order and ``size``; returns its batch size."""
+    batch = 1 if size is None else size
+    _require_integers(order=order, size=batch)
     if order < 1:
         raise ConfigurationError(f"order must be >= 1, got {order}")
-    phases, angles = _draw_angle_arrays(int(order), rng, 1)
-    return HaarAngles(order=int(order),
-                      phases=tuple(p[0] for p in phases),
-                      angles=tuple(a[0] for a in angles))
-
-
-def unitary_from_angles(coords):
-    """Assemble the unitary matrix encoded by a set of angular coordinates."""
-    phases = [np.asarray(p, dtype=float)[None, :] for p in coords.phases]
-    angles = [np.asarray(a, dtype=float)[None, :] for a in coords.angles]
-    return _build_unitaries(phases, angles)[0]
+    return batch
 
 
 def sample_haar_recursive(order, rng, size=None):
@@ -218,10 +128,8 @@ def sample_haar_recursive(order, rng, size=None):
     ``n`` is drawn so that ``cos^2(theta_i) ~ Beta(1, n - i)``.  With
     ``size`` given, a stack of independent draws is returned.
     """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    batch = 1 if size is None else int(size)
-    phases, angles = _draw_angle_arrays(int(order), rng, batch)
+    batch = _haar_batch(order, size)
+    phases, angles = _draw_angle_arrays(order, rng, batch)
     u = _build_unitaries(phases, angles)
     return u[0] if size is None else u
 
@@ -233,10 +141,8 @@ def sample_haar_qr_oracle(order, rng, size=None):
     has a real positive diagonal; without that correction the factorization
     is not unique and the factor is not Haar.
     """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    batch = 1 if size is None else int(size)
-    z = _complex_gaussian((batch, int(order), int(order)), rng)
+    batch = _haar_batch(order, size)
+    z = _complex_gaussian((batch, order, order), rng)
     q, r = np.linalg.qr(z)
     d = np.einsum("...ii->...i", r)
     q = q * (d / np.abs(d))[..., None, :]

@@ -36,9 +36,7 @@ from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
 __all__ = [
-    "WishartSpectrum",
     "log_density_unnormalized",
-    "sample_ordered_spectrum",
     "sample_spectra",
     "smallest_eigs_probability",
     "tail_sum_probability",
@@ -51,16 +49,8 @@ _EIG_SLACK = -1e-12
 _TIE_BAND = 1e-12
 
 
-@dataclass(frozen=True)
-class WishartSpectrum:
-    """Ascending eigenvalues of H^H H with the generating dimensions."""
-
-    eigenvalues: np.ndarray
-    M: int
-    N: int
-
-
 def _check_dims(M, N):
+    _require_integers(M=M, N=N)
     if not 1 <= M <= N:
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
 
@@ -102,33 +92,31 @@ def _spectra(h):
 def sample_spectra(M, N, rng, n_draws):
     """Stack of ``n_draws`` ordered spectra, shape (n_draws, M), ascending."""
     _check_dims(M, N)
+    _require_integers(n_draws=n_draws)
     return _spectra(sample_complex_gaussian(N, M, rng, size=n_draws))
 
 
-def sample_ordered_spectrum(M, N, rng):
-    """Ordered eigenvalues of H^H H for one fresh CN(0,1) draw of H."""
-    return WishartSpectrum(eigenvalues=sample_spectra(M, N, rng, 1)[0],
-                           M=int(M), N=int(N))
-
-
-def log_density_unnormalized(spectrum):
+def log_density_unnormalized(eigenvalues, N):
     """Log of the joint ordered-eigenvalue density, normalizer dropped.
 
-    Evaluates ``sum_i ((N - M) ln lambda_i - lambda_i)
+    ``eigenvalues`` is the 1-D spectrum of an M x M Wishart matrix H^H H,
+    with M its length, and ``N >= M`` is the row count of H.  Evaluates
+    ``sum_i ((N - M) ln lambda_i - lambda_i)
     + 2 sum_{i<j} ln |lambda_i - lambda_j|``; the expression is symmetric
     under permutations of its arguments.  Repeated or nonpositive
     eigenvalues lie on the density's boundary and are rejected.
     """
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size != spectrum.M:
-        raise ValueError(f"expected {spectrum.M} eigenvalues, got shape {lam.shape}")
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError(f"expected a 1-D spectrum, got shape {lam.shape}")
+    _check_dims(lam.size, N)
     if np.any(lam <= 0.0):
         raise ValueError("density requires strictly positive eigenvalues")
     iu = np.triu_indices(lam.size, k=1)
     gaps = np.abs(lam[:, None] - lam[None, :])[iu]
     if lam.size > 1 and np.any(gaps == 0.0):
         raise ValueError("density requires strictly distinct eigenvalues")
-    power = spectrum.N - spectrum.M
+    power = N - lam.size
     value = float(np.sum(power * np.log(lam) - lam))
     if lam.size > 1:
         value += float(2.0 * np.sum(np.log(gaps)))
@@ -184,8 +172,8 @@ class _TailKernel:
 
 def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers):
     """Checks the arguments and estimates the event curve of one tail kind."""
-    _require_integers(M=M, N=N, m=m)
     _check_dims(M, N)
+    _require_integers(m=m)
     if not 1 <= m <= M:
         raise ConfigurationError(f"need 1 <= m <= M, got m={m}, M={M}")
     if not (np.isfinite(b) and b > 0.0):

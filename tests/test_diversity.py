@@ -85,6 +85,12 @@ class TestFlatRegimes:
         with pytest.raises(ConfigurationError):
             resolve_rate_regime_flat(2, 2, -0.3)
 
+    @pytest.mark.parametrize("dims", [(2, 2.5), (2.0, 2), (2.5, 3)],
+                             ids=["N", "integral-float-M", "M"])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            resolve_rate_regime_flat(*dims, 1.2)
+
 
 class TestSelectiveRegimes:
     def test_reference_scenario(self):
@@ -156,6 +162,13 @@ class TestSelectiveRegimes:
                     upper = (math.log2(m_streams / (sel.m - 1)) if sel.m > 1
                              else math.inf)
                     assert sel.rate_interval == (math.log2(m_streams / sel.m), upper)
+
+    @pytest.mark.parametrize("args", [(2.5, 2, 2, 64), (2, 2.0, 2, 64),
+                                      (2, 2, 1.5, 64), (2, 2, 2, 64.5)],
+                             ids=["M", "N", "L", "K"])
+    def test_rejects_non_integer_dims(self, args):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            resolve_rate_regime_selective(*args, 3.0)
 
     def test_boundary_rates_refused(self):
         with pytest.raises(BoundaryRateError):
@@ -307,6 +320,22 @@ class TestEstimateOutage:
             TrialPolicy(max_trials=0)
         with pytest.raises(ConfigurationError):
             TrialPolicy(target_events=0)
+
+    @pytest.mark.parametrize("workers", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_worker_count(self, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a worker pool opened for an invalid worker count")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match="workers"):
+            estimate_outage(SystemConfig(M=2, N=2, R=1.0), [0.0], workers=workers)
+
+    @pytest.mark.parametrize("workers, count", [(1, 1), (np.int64(3), 3),
+                                                (None, None), ("auto", None)])
+    def test_worker_count_resolution(self, workers, count):
+        resolved = montecarlo.resolve_workers(workers)
+        assert type(resolved) is int and resolved >= 1
+        assert count is None or resolved == count
 
     @pytest.mark.parametrize("field", ["max_trials", "target_events", "block_trials"])
     def test_policy_rejects_non_integer_counts(self, field):

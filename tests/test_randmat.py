@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import cumulative_trapezoid
 
-from mmsediv import (ConfigurationError, HaarAngles, derive_stream,
-                     givens_rotation, sample_complex_gaussian,
-                     sample_haar_angles, sample_haar_qr_oracle,
-                     sample_haar_recursive, sample_sin_power_angle,
-                     unitarity_residual, unitary_from_angles)
+from mmsediv import (ConfigurationError, derive_stream, sample_complex_gaussian,
+                     sample_haar_qr_oracle, sample_haar_recursive,
+                     unitarity_residual)
 
 
 def rng_for(*key):
@@ -48,52 +45,18 @@ class TestComplexGaussian:
         with pytest.raises(ConfigurationError):
             sample_complex_gaussian(3, -1, rng_for(3))
 
-
-class TestSinPowerAngle:
-    def test_k0_uniform_mean(self):
-        th = sample_sin_power_angle(0, rng_for(10), size=100_000)
-        assert th.min() >= 0.0 and th.max() <= np.pi / 2
-        se = th.std(ddof=1) / np.sqrt(th.size)
-        assert abs(th.mean() - np.pi / 4) <= 3 * se
-
-    def test_k1_matches_analytic_cdf(self):
-        th = sample_sin_power_angle(1, rng_for(11), size=100_000)
-        res = stats.kstest(th, lambda x: 1.0 - np.cos(x))
-        assert res.pvalue > 0.01
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_matches_quadrature_cdf(self, k):
-        # oracle: numerically integrated sin^k density
-        th = sample_sin_power_angle(k, rng_for(12 + k), size=100_000)
-        grid = np.linspace(0.0, np.pi / 2, 4097)
-        cdf = cumulative_trapezoid(np.sin(grid) ** k, grid, initial=0.0)
-        cdf /= cdf[-1]
-        res = stats.kstest(th, lambda x: np.interp(x, grid, cdf))
-        assert res.pvalue > 0.01
-
-    def test_rejects_negative_exponent(self):
+    @pytest.mark.parametrize("args, size", [((3, 2.0), 2), ((2.5, 3), 2),
+                                            ((3, 2), 2.5), ((3, 2), (2, 1.0))],
+                             ids=["cols", "rows", "size", "size-tuple"])
+    def test_rejects_non_integer_dimensions(self, args, size):
         with pytest.raises(ConfigurationError):
-            sample_sin_power_angle(-1, rng_for(13))
+            sample_complex_gaussian(*args, rng_for(3), size=size)
 
-
-class TestGivensRotation:
-    def test_zero_angle_is_identity(self):
-        assert np.array_equal(givens_rotation(1, 0.0, 3), np.eye(3))
-
-    def test_quarter_turn(self):
-        j = givens_rotation(1, np.pi / 2, 2)
-        expected = np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert np.max(np.abs(j - expected)) <= 1e-12
-
-    def test_orthogonality(self):
-        j = givens_rotation(2, 0.3, 4)
-        assert np.max(np.abs(j.T @ j - np.eye(4))) <= 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            givens_rotation(0, 0.1, 3)
-        with pytest.raises(ConfigurationError):
-            givens_rotation(3, 0.1, 3)
+    def test_numpy_integers_draw_the_same_stream(self):
+        a = sample_complex_gaussian(3, 2, derive_stream(4, 0), size=(5, 2))
+        b = sample_complex_gaussian(np.int64(3), np.int32(2), derive_stream(4, 0),
+                                    size=(np.int64(5), 2))
+        assert np.array_equal(a, b)
 
 
 class TestHaarSamplers:
@@ -155,23 +118,9 @@ class TestHaarSamplers:
         with pytest.raises(ConfigurationError):
             sample_haar_qr_oracle(0, rng_for(28))
 
-
-class TestHaarAngles:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_parameter_count_is_order_squared(self, order):
-        coords = sample_haar_angles(order, rng_for(30, order))
-        assert coords.n_parameters == order ** 2
-
-    def test_ranges_validated(self):
-        with pytest.raises(ConfigurationError):
-            HaarAngles(order=2, phases=(np.array([0.0, 7.0]), np.array([0.1])),
-                       angles=(np.array([0.3]), np.array([])))
-        with pytest.raises(ConfigurationError):
-            HaarAngles(order=2, phases=(np.array([0.0, 1.0]), np.array([0.1])),
-                       angles=(np.array([2.0]), np.array([])))
-
-    def test_roundtrip_matches_sampler(self):
-        coords = sample_haar_angles(4, derive_stream(31, 0))
-        direct = sample_haar_recursive(4, derive_stream(31, 0))
-        assert np.array_equal(unitary_from_angles(coords), direct)
-        assert unitarity_residual(unitary_from_angles(coords)) <= 1e-10
+    @pytest.mark.parametrize("order, size", [(2.5, None), (2.0, None), (2, 3.0)],
+                             ids=["order", "integral-float-order", "size"])
+    def test_rejects_non_integer_order_or_size(self, order, size):
+        for sampler in (sample_haar_recursive, sample_haar_qr_oracle):
+            with pytest.raises(ConfigurationError):
+                sampler(order, rng_for(29), size=size)

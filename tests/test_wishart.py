@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from mmsediv import (ConfigurationError, FitWindow, TrialPolicy, WishartSpectrum,
-                     derive_stream, fit_diversity_slope, log_density_unnormalized,
-                     sample_ordered_spectrum, sample_spectra,
+from mmsediv import (ConfigurationError, FitWindow, TrialPolicy, derive_stream,
+                     fit_diversity_slope, log_density_unnormalized, sample_spectra,
                      smallest_eigs_probability, tail_sum_probability,
                      wilson_interval, wishart)
 from mmsediv.randmat import sample_complex_gaussian
@@ -40,15 +39,15 @@ class TestSpectrumSampling:
         assert np.all(lam >= 0.0)
         assert np.all(np.diff(lam, axis=1) >= 0.0)
 
-    def test_single_draw_type(self):
-        spec = sample_ordered_spectrum(2, 3, rng_for(4))
-        assert spec.M == 2 and spec.N == 3
-        assert spec.eigenvalues.shape == (2,)
-        assert spec.eigenvalues[0] <= spec.eigenvalues[1]
-
     def test_rejects_bad_dims(self):
         with pytest.raises(ConfigurationError):
             sample_spectra(3, 2, rng_for(5), 10)
+
+    @pytest.mark.parametrize("args", [(2.5, 3, 4), (2, 3.0, 4), (2, 3, 4.0)],
+                             ids=["M", "N", "n_draws"])
+    def test_rejects_non_integer_sizes(self, args):
+        with pytest.raises(ConfigurationError):
+            sample_spectra(*args[:2], rng_for(5), args[2])
 
 
 def mp_spectrum(h):
@@ -135,37 +134,43 @@ class TestTieBreak:
 
 class TestLogDensity:
     def test_siso_value(self):
-        spec = WishartSpectrum(eigenvalues=np.array([2.0]), M=1, N=1)
-        assert abs(log_density_unnormalized(spec) + 2.0) <= 1e-12
+        assert abs(log_density_unnormalized(np.array([2.0]), 1) + 2.0) <= 1e-12
 
     def test_square_case_value(self):
-        spec = WishartSpectrum(eigenvalues=np.array([1.0, 2.0]), M=2, N=2)
-        assert abs(log_density_unnormalized(spec) + 3.0) <= 1e-12
+        assert abs(log_density_unnormalized(np.array([1.0, 2.0]), 2) + 3.0) <= 1e-12
 
     def test_rectangular_value(self):
         # independent arithmetic: ln 4 + 2 ln 3 - 5
-        spec = WishartSpectrum(eigenvalues=np.array([1.0, 4.0]), M=2, N=3)
         expected = np.log(4.0) + 2.0 * np.log(3.0) - 5.0
         assert abs(expected - (-1.4164810615438898)) <= 1e-12
-        assert abs(log_density_unnormalized(spec) - expected) <= 1e-12
+        assert abs(log_density_unnormalized(np.array([1.0, 4.0]), 3)
+                   - expected) <= 1e-12
 
     def test_permutation_invariance(self):
         rng = rng_for(6)
         for _ in range(25):
             m = int(rng.integers(2, 5))
             lam = np.sort(rng.gamma(2.0, 1.0, size=m))
-            spec = WishartSpectrum(eigenvalues=lam, M=m, N=m + 1)
-            base = log_density_unnormalized(spec)
-            perm = WishartSpectrum(eigenvalues=rng.permutation(lam), M=m, N=m + 1)
-            assert abs(log_density_unnormalized(perm) - base) <= 1e-10
+            base = log_density_unnormalized(lam, m + 1)
+            perm = log_density_unnormalized(rng.permutation(lam), m + 1)
+            assert abs(perm - base) <= 1e-10
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            log_density_unnormalized(
-                WishartSpectrum(eigenvalues=np.array([0.0, 1.0]), M=2, N=2))
+            log_density_unnormalized(np.array([0.0, 1.0]), 2)
         with pytest.raises(ValueError):
-            log_density_unnormalized(
-                WishartSpectrum(eigenvalues=np.array([1.0, 1.0]), M=2, N=2))
+            log_density_unnormalized(np.array([1.0, 1.0]), 2)
+
+    @pytest.mark.parametrize("eigenvalues, N", [([1.0, 2.0, 3.0], 2), ([1.0, 2.0], 2.0),
+                                                ([], 2)],
+                             ids=["N<M", "non-integer-N", "empty"])
+    def test_rejects_bad_dims(self, eigenvalues, N):
+        with pytest.raises(ConfigurationError):
+            log_density_unnormalized(np.array(eigenvalues), N)
+
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="1-D"):
+            log_density_unnormalized(np.array([[1.0, 2.0]]), 2)
 
     def test_histogram_matches_density(self):
         # 2-D histogram of (l1, l2) against the numerically normalized
