@@ -17,10 +17,10 @@ from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          NumericalError, NumericalHealthWarning)
-from .mmse import (block_circulant_operator, capacity, flat_capacity_batch,
-                   flat_sinrs, noise_scaling, selective_capacity_batch,
-                   selective_sinrs, selective_sinrs_oracle,
-                   spd_inverse_diagonal, transfer_function)
+from .mmse import (block_circulant_operator, noise_scaling,
+                   selective_capacity_batch, selective_sinrs,
+                   selective_sinrs_oracle, spd_inverse_diagonal,
+                   transfer_function)
 from .montecarlo import (BinomialCurve, CurvePoint, TrialPolicy,
                          estimate_binomial_curve, wilson_interval)
 from .randmat import (derive_stream, sample_complex_gaussian,
@@ -44,13 +44,10 @@ __all__ = [
     "SystemConfig",
     "TrialPolicy",
     "block_circulant_operator",
-    "capacity",
     "derive_stream",
     "estimate_binomial_curve",
     "estimate_outage",
     "fit_diversity_slope",
-    "flat_capacity_batch",
-    "flat_sinrs",
     "log_density_unnormalized",
     "noise_scaling",
     "resolve_rate_regime",

@@ -189,25 +189,15 @@ def resolve_rate_regime(cfg):
 
 @dataclass(frozen=True)
 class _OutageKernel:
-    """Counts capacity outages; ``n_taps == 1`` is flat fading."""
+    """Counts capacity outages of the link ``cfg``; ``L == 1`` is flat fading."""
 
-    n_tx: int
-    n_rx: int
-    n_taps: int
-    n_bins: int
-    rate: float
-    scaling: str
+    cfg: SystemConfig
 
     def __call__(self, rho, rng, n_trials):
-        taps = sample_complex_gaussian(self.n_rx, self.n_tx, rng,
-                                       size=(n_trials, self.n_taps))
-        chunk = mmse._capacity_chunk_size(taps.shape[1:], self.n_bins)
-        events = 0
-        for lo in range(0, n_trials, chunk):
-            cap = mmse.selective_capacity_batch(taps[lo:lo + chunk], rho,
-                                                self.n_bins, self.scaling)
-            events += int(np.count_nonzero(cap < self.rate))
-        return events
+        cfg = self.cfg
+        taps = sample_complex_gaussian(cfg.N, cfg.M, rng, size=(n_trials, cfg.L))
+        cap = mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
+        return int(np.count_nonzero(cap < cfg.R))
 
 
 def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
@@ -217,19 +207,14 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     N x M matrix when flat, L tap matrices when selective), computes the
     MMSE capacity and counts outage events until the policy's event target
     or trial budget is hit.  Given (cfg, grid, policy, master_seed) the
-    returned curve is bit-identical for any worker count.
+    returned curve is bit-identical for any worker count.  The grid is
+    checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
-    if snr_db.ndim != 1 or snr_db.size < 1:
-        raise ConfigurationError("SNR grid must be a non-empty 1-D array")
-    if np.any(np.diff(snr_db) <= 0.0):
-        raise ConfigurationError("SNR grid must be strictly increasing")
-    rho = 10.0 ** (snr_db / 10.0)
-    kernel = _OutageKernel(n_tx=cfg.M, n_rx=cfg.N, n_taps=cfg.L, n_bins=cfg.K,
-                           rate=cfg.R, scaling=cfg.scaling)
-    return estimate_binomial_curve(kernel, rho, policy=policy,
-                                   master_seed=master_seed, workers=workers,
-                                   scenario=cfg.label(), snr_db_grid=snr_db)
+    return estimate_binomial_curve(_OutageKernel(cfg), 10.0 ** (snr_db / 10.0),
+                                   policy=policy, master_seed=master_seed,
+                                   workers=workers, scenario=cfg.label(),
+                                   snr_db_grid=snr_db)
 
 
 @dataclass(frozen=True)

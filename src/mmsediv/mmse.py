@@ -20,7 +20,9 @@ Hermitian ``G(k)`` are carried: the diagonal and the real and imaginary
 parts of the upper triangle.  Flat
 fading is the L = 1 case of this path and has no route of its own: the
 only lag is ``R_0 = H^H H`` and every bin holds that Gram matrix, so the
-path runs with a single bin.
+path runs with a single bin.  The public API has no flat route either: a
+flat (N, M) channel ``H`` is the one-tap stack ``H[None]`` of
+`selective_sinrs` and `selective_capacity_batch`, with block length 1.
 
 `transfer_function` (the per-bin DFT ``H(k)``) is kept as the public
 per-bin reference, and a time-domain construction on the explicit
@@ -54,10 +56,7 @@ from .exceptions import (ConfigurationError, NumericalError, NumericalHealthWarn
 __all__ = [
     "SCALING_CONVENTIONS",
     "block_circulant_operator",
-    "capacity",
     "collect_health",
-    "flat_capacity_batch",
-    "flat_sinrs",
     "merge_health",
     "noise_scaling",
     "numerical_health",
@@ -212,42 +211,6 @@ def _check_finite(arr, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def flat_sinrs(channel, rho):
-    """Per-stream MMSE SINRs for one flat-fading channel matrix.
-
-    Parameters
-    ----------
-    channel : (N, M) complex array
-        Channel matrix, one column per transmit stream.
-    rho : float
-        SNR (linear, > 0); the Gram matrix is scaled by rho/M.
-
-    Returns
-    -------
-    (M,) float array of nonnegative SINRs.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    if channel.ndim != 2:
-        raise ValueError(f"expected a 2-D channel matrix, got shape {channel.shape}")
-    _check_finite(channel, "channel matrix")
-    return _sinrs_from_mse(_mse(channel[None], rho))
-
-
-def flat_capacity_batch(channels, rho):
-    """MMSE capacity (bits/s/Hz) of each channel in a (..., N, M) stack."""
-    channels = np.asarray(channels, dtype=complex)
-    beta = _sinrs_from_mse(_mse(channels[..., None, :, :], rho))
-    return np.sum(np.log2(1.0 + beta), axis=-1)
-
-
-def capacity(sinrs):
-    """Sum rate sum_j log2(1 + beta_j) in bits/s/Hz."""
-    beta = np.asarray(sinrs, dtype=float)
-    if np.any(beta < 0.0):
-        raise ValueError("SINRs must be nonnegative")
-    return float(np.sum(np.log2(1.0 + beta)))
-
-
 def _check_block_length(n_taps, n_bins):
     """Block length K as an int; it must be an integer of at least L."""
     _require_integers(K=n_bins)
@@ -400,10 +363,26 @@ def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
 
 
 def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
-    """MMSE capacity (bits/s/Hz) of each realization in a (..., L, N, M) stack."""
+    """MMSE capacity (bits/s/Hz) of each realization in a (..., L, N, M) stack.
+
+    Returns an array of the leading shape ``...``.  The stack is walked in
+    chunks of `_capacity_chunk_size` realizations, so beyond the input and
+    the result the call holds about `_CHUNK_BYTES` of temporaries, however
+    many realizations it gets.  A stack of at most one chunk is one `_mse`
+    call, and a longer one gives the capacities of its chunk-sized calls.
+    """
     taps = np.asarray(taps, dtype=complex)
-    beta = _sinrs_from_mse(_mse(taps, rho, n_bins, scaling))
-    return np.sum(np.log2(1.0 + beta), axis=-1)
+    *lead, n_taps, n_rx, m = taps.shape
+    stack = taps.reshape(-1, n_taps, n_rx, m)
+    chunk = _capacity_chunk_size((n_taps, n_rx, m),
+                                 _check_block_length(n_taps, n_bins))
+    cap = np.empty(len(stack))
+    # at least one call, so that an empty stack has its arguments checked too
+    for lo in range(0, max(len(stack), 1), chunk):
+        beta = _sinrs_from_mse(_mse(stack[lo:lo + chunk], rho, n_bins, scaling))
+        cap[lo:lo + chunk] = np.sum(np.log2(1.0 + beta), axis=-1)
+    # [()] returns a single realization's capacity as a scalar, as a sum does
+    return cap.reshape(lead)[()]
 
 
 def block_circulant_operator(taps, n_blocks):

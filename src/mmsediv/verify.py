@@ -86,14 +86,15 @@ def verify_sinr(seed=0):
         detail=f"max relative discrepancy {worst:.2e} over {_SINR_INSTANCES} instances "
                "(tolerance 1e-8)")]
     taps = randmat.sample_complex_gaussian(3, 2, rng, size=1)
-    flat = mmse.flat_sinrs(taps[0], 7.5)
+    gram = np.eye(2) + (7.5 / 2) * taps[0].conj().T @ taps[0]
+    ref = 1.0 / np.real(np.diag(np.linalg.inv(gram))) - 1.0
     red = mmse.selective_sinrs(taps, 7.5, 8)
-    rel = float(np.max(np.abs(flat - red) / np.abs(flat)))
+    rel = float(np.max(np.abs(red - ref) / np.abs(ref)))
     results.append(CheckResult(
         name="sinr-flat-reduction",
         passed=rel <= 1e-12,
-        detail=f"single-tap selective vs flat relative gap {rel:.2e} "
-               "(tolerance 1e-12)"))
+        detail=f"single-tap SINRs vs diag of (I + (rho/M) H^H H)^-1 relative gap "
+               f"{rel:.2e} (tolerance 1e-12)"))
     return results
 
 

@@ -103,15 +103,15 @@ def log_density_unnormalized(eigenvalues, N):
     with M its length, and ``N >= M`` is the row count of H.  Evaluates
     ``sum_i ((N - M) ln lambda_i - lambda_i)
     + 2 sum_{i<j} ln |lambda_i - lambda_j|``; the expression is symmetric
-    under permutations of its arguments.  Repeated or nonpositive
-    eigenvalues lie on the density's boundary and are rejected.
+    under permutations of its arguments.  Repeated, nonpositive or
+    non-finite eigenvalues lie off the density's open support and are rejected.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1:
         raise ValueError(f"expected a 1-D spectrum, got shape {lam.shape}")
     _check_dims(lam.size, N)
-    if np.any(lam <= 0.0):
-        raise ValueError("density requires strictly positive eigenvalues")
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise ValueError("density requires finite, strictly positive eigenvalues")
     iu = np.triu_indices(lam.size, k=1)
     gaps = np.abs(lam[:, None] - lam[None, :])[iu]
     if lam.size > 1 and np.any(gaps == 0.0):

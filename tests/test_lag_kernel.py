@@ -2,10 +2,11 @@
 
 The capacity path builds each bin's Gram matrix from the tap
 autocorrelation instead of the per-bin channels; these tests hold it to a
-per-bin reference built from `transfer_function`, to the flat path at
-L = 1, and to monotonicity in the SNR.  A bound on the memory of one
-outage-kernel call, for a selective and a flat link, covers the chunking
-of that path.
+per-bin reference built from `transfer_function` at every L, L = 1 (flat
+fading) included, and to monotonicity in the SNR.  The chunking of
+`selective_capacity_batch` is held to its chunk-sized calls, and bounds on
+the memory of one capacity call and of one outage-kernel call, for a
+selective and a flat link, cover it.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmsediv import (derive_stream, flat_capacity_batch, noise_scaling,
+from mmsediv import (SystemConfig, derive_stream, mmse, noise_scaling,
                      sample_complex_gaussian, selective_capacity_batch,
                      transfer_function)
 from mmsediv.diversity import _OutageKernel
@@ -65,14 +66,6 @@ def test_matches_per_bin_reference(link, snr):
     assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected))
 
 
-@given(links(max_taps=1), snr_db)
-def test_single_tap_is_the_flat_path_exactly(link, snr):
-    taps, n_bins, scaling = link
-    rho = 10.0 ** (snr / 10.0)
-    assert np.array_equal(selective_capacity_batch(taps, rho, n_bins, scaling),
-                          flat_capacity_batch(taps[:, 0], rho))
-
-
 @given(links(), snr_db, st.floats(0.0, 20.0))
 def test_capacity_nondecreasing_in_snr(link, snr, step_db):
     taps, n_bins, scaling = link
@@ -82,17 +75,51 @@ def test_capacity_nondecreasing_in_snr(link, snr, step_db):
     assert np.all(high >= low * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("link, n_trials, limit_mib", [
+@pytest.mark.parametrize("n_taps, n_bins", [(2, 64), (1, 1)],
+                         ids=["selective", "flat"])
+@pytest.mark.parametrize("lead", [(), (0,), (4, 5000)],
+                         ids=["single", "empty", "4x5000"])
+def test_chunked_call_is_its_chunk_calls(n_taps, n_bins, lead):
+    # 20,000 realizations of a 2x2 link are 20 chunks at L = 2, K = 64 and
+    # 2 chunks at L = 1; each chunk-sized call is one `_mse` call
+    taps = sample_complex_gaussian(2, 2, derive_stream(3, n_taps, len(lead)),
+                                   size=(*lead, n_taps))
+    got = selective_capacity_batch(taps, 10.0, n_bins)
+    stack = taps.reshape(-1, n_taps, 2, 2)
+    chunk = mmse._capacity_chunk_size(stack.shape[1:], n_bins)
+    parts = [stack[lo:lo + chunk] for lo in range(0, len(stack), chunk)]
+    calls = [selective_capacity_batch(part, 10.0, n_bins) for part in parts]
+    for part, cap in zip(parts, calls):
+        beta = mmse._sinrs_from_mse(mmse._mse(part, 10.0, n_bins))
+        assert np.array_equal(cap, np.sum(np.log2(1.0 + beta), axis=-1))
+    assert np.shape(got) == lead
+    assert np.array_equal(got, np.concatenate([np.empty(0), *calls]).reshape(lead))
+
+
+def test_capacity_call_memory_is_bounded():
+    # 20,000 realizations of a 2x2, 2-tap link over 64 bins in one call: the
+    # taps take 2.4 MiB, and one `_mse` call on all of them peaks near 82 MiB
+    taps = sample_complex_gaussian(2, 2, derive_stream(0, 1), size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        selective_capacity_batch(taps, 10.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("cfg, n_trials, limit_mib", [
     # 2048 trials of an 8x8, 4-tap link over 256 bins: the per-bin Gram
     # matrices alone would take 2048 * 256 * 64 * 16 B = 512 MiB at once
-    (dict(n_tx=8, n_rx=8, n_taps=4, n_bins=256, rate=20.0), 2048, 64),
+    (SystemConfig(M=8, N=8, L=4, K=256, R=20.0), 2048, 64),
     # one flat 2x2 block: sampling peaks near 24 MiB; the capacity stage
     # holds 12 MiB of taps plus a chunk's temporaries, which lag chunks
     # sized for one Gram matrix per trial (65536 * 384 B) push past 30 MiB
-    (dict(n_tx=2, n_rx=2, n_taps=1, n_bins=1, rate=1.2), 200_000, 30),
+    (SystemConfig(M=2, N=2, R=1.2), 200_000, 30),
 ], ids=["selective", "flat"])
-def test_outage_kernel_memory_is_bounded(link, n_trials, limit_mib):
-    kernel = _OutageKernel(scaling="per-tap", **link)
+def test_outage_kernel_memory_is_bounded(cfg, n_trials, limit_mib):
+    kernel = _OutageKernel(cfg)
     tracemalloc.start()
     try:
         kernel(10.0, derive_stream(0, 0, 0), n_trials)

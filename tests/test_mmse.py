@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mmsediv import (ConfigurationError, NumericalError, NumericalHealthWarning,
-                     block_circulant_operator, capacity, derive_stream,
-                     flat_capacity_batch, flat_sinrs, noise_scaling,
+                     block_circulant_operator, derive_stream, noise_scaling,
                      sample_complex_gaussian, selective_capacity_batch,
                      selective_sinrs, selective_sinrs_oracle,
                      spd_inverse_diagonal, transfer_function)
@@ -12,6 +11,11 @@ from mmsediv import mmse as mmse_mod
 
 def rng_for(*key):
     return derive_stream(555, *key)
+
+
+def flat_sinrs(channel, rho):
+    """SINRs of one flat (N, M) channel: the one-tap path, block length 1."""
+    return selective_sinrs(np.asarray(channel)[None], rho, 1)
 
 
 class TestFlatSinrs:
@@ -23,7 +27,7 @@ class TestFlatSinrs:
     def test_zero_channel_gives_zero(self):
         beta = flat_sinrs(np.zeros((3, 2)), 10.0)
         assert np.array_equal(beta, np.zeros(2))
-        assert capacity(beta) == 0.0
+        assert np.sum(np.log2(1.0 + beta)) == 0.0
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 2), (4, 3)])
     def test_matches_explicit_inverse(self, dims):
@@ -49,7 +53,7 @@ class TestFlatSinrs:
         for trial in range(20):
             h = sample_complex_gaussian(3, 2, rng_for(4, trial))
             rho = float(10.0 ** rng_for(5, trial).uniform(-1, 3))
-            mmse_bits = capacity(flat_sinrs(h, rho))
+            mmse_bits = np.sum(np.log2(1.0 + flat_sinrs(h, rho)))
             gram = np.eye(2) + (rho / 2) * h.conj().T @ h
             ml_bits = np.linalg.slogdet(gram)[1] / np.log(2.0)
             assert mmse_bits <= ml_bits + 1e-9
@@ -64,23 +68,10 @@ class TestFlatSinrs:
             flat_sinrs(np.eye(2, dtype=complex), 0.0)
 
 
-class TestCapacity:
-    def test_zero_sinrs(self):
-        assert capacity([0.0, 0.0]) == 0.0
-
-    def test_known_values(self):
-        assert abs(capacity([1.0, 3.0]) - 3.0) <= 1e-12
-        assert abs(capacity([3.0]) - 2.0) <= 1e-12
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            capacity([0.5, -0.1])
-
-
 class TestSelectiveSinrs:
     def test_single_tap_reduces_to_flat(self):
         taps = sample_complex_gaussian(3, 2, rng_for(10), size=1)
-        flat = flat_sinrs(taps[0], 7.0)
+        flat = selective_sinrs(taps, 7.0, 1)
         for scaling in ("per-tap", "paper"):
             sel = selective_sinrs(taps, 7.0, 8, scaling=scaling)
             assert np.max(np.abs(sel - flat) / flat) <= 1e-12
@@ -178,14 +169,15 @@ class TestBlockCirculantOracle:
 class TestBatchPaths:
     def test_flat_batch_matches_scalar(self):
         hs = sample_complex_gaussian(3, 2, rng_for(30), size=50)
-        batch = flat_capacity_batch(hs, 9.0)
-        scalar = np.array([capacity(flat_sinrs(h, 9.0)) for h in hs])
+        batch = selective_capacity_batch(hs[:, None], 9.0, 1)
+        scalar = np.array([np.sum(np.log2(1.0 + flat_sinrs(h, 9.0))) for h in hs])
         assert np.max(np.abs(batch - scalar)) <= 1e-12
 
     def test_selective_batch_matches_scalar(self):
         taps = sample_complex_gaussian(2, 2, rng_for(31), size=(20, 3))
         batch = selective_capacity_batch(taps, 5.0, 8)
-        scalar = np.array([capacity(selective_sinrs(t, 5.0, 8)) for t in taps])
+        scalar = np.array([np.sum(np.log2(1.0 + selective_sinrs(t, 5.0, 8)))
+                           for t in taps])
         assert np.max(np.abs(batch - scalar)) <= 1e-12
 
     def test_transfer_function_is_direct_dft(self):

@@ -32,6 +32,12 @@ class TestComplexGaussian:
         c = sample_complex_gaussian(4, 2, derive_stream(123, 6))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("args", [(1.5, 0), (1, 0.7), (1, 0, 2.0)],
+                             ids=["seed", "key", "later-key"])
+    def test_derive_stream_rejects_non_integers(self, args):
+        with pytest.raises(ConfigurationError, match="integer"):
+            derive_stream(*args)
+
     def test_largest_eigenvalue_stays_finite(self):
         h = sample_complex_gaussian(4, 2, rng_for(2), size=1000)
         gram = np.einsum("bnj,bnk->bjk", h.conj(), h)
@@ -54,7 +60,8 @@ class TestComplexGaussian:
 
     def test_numpy_integers_draw_the_same_stream(self):
         a = sample_complex_gaussian(3, 2, derive_stream(4, 0), size=(5, 2))
-        b = sample_complex_gaussian(np.int64(3), np.int32(2), derive_stream(4, 0),
+        b = sample_complex_gaussian(np.int64(3), np.int32(2),
+                                    derive_stream(np.int64(4), np.uint8(0)),
                                     size=(np.int64(5), 2))
         assert np.array_equal(a, b)
 

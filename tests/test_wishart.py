@@ -160,6 +160,10 @@ class TestLogDensity:
             log_density_unnormalized(np.array([0.0, 1.0]), 2)
         with pytest.raises(ValueError):
             log_density_unnormalized(np.array([1.0, 1.0]), 2)
+        with pytest.raises(ValueError):
+            log_density_unnormalized(np.array([np.nan, 1.0]), 2)
+        with pytest.raises(ValueError):
+            log_density_unnormalized(np.array([1.0, np.inf]), 2)
 
     @pytest.mark.parametrize("eigenvalues, N", [([1.0, 2.0, 3.0], 2), ([1.0, 2.0], 2.0),
                                                 ([], 2)],
