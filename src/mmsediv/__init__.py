@@ -17,10 +17,8 @@ from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          NumericalError, NumericalHealthWarning)
-from .mmse import (block_circulant_operator, noise_scaling,
-                   selective_capacity_batch, selective_sinrs,
-                   selective_sinrs_oracle, spd_inverse_diagonal,
-                   transfer_function)
+from .mmse import (noise_scaling, selective_capacity_batch, selective_sinrs,
+                   selective_sinrs_oracle, transfer_function)
 from .montecarlo import (BinomialCurve, CurvePoint, TrialPolicy,
                          estimate_binomial_curve, wilson_interval)
 from .randmat import (derive_stream, sample_complex_gaussian,
@@ -43,7 +41,6 @@ __all__ = [
     "SlopeFit",
     "SystemConfig",
     "TrialPolicy",
-    "block_circulant_operator",
     "derive_stream",
     "estimate_binomial_curve",
     "estimate_outage",
@@ -61,7 +58,6 @@ __all__ = [
     "selective_sinrs",
     "selective_sinrs_oracle",
     "smallest_eigs_probability",
-    "spd_inverse_diagonal",
     "tail_sum_probability",
     "transfer_function",
     "unitarity_residual",

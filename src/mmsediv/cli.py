@@ -35,14 +35,13 @@ import numpy as np
 
 from . import __version__, diversity, verify
 from .exceptions import (ConfigurationError, InsufficientDataError)
-from .montecarlo import BinomialCurve, CurvePoint, TrialPolicy
+from .montecarlo import TrialPolicy
 
 __all__ = [
     "CSV_HEADER",
     "build_parser",
     "entry_point",
     "main",
-    "read_curve_csv",
     "write_curve_csv",
 ]
 
@@ -184,30 +183,6 @@ def write_curve_csv(curve, path):
                 _float_repr(pt.ci_high),
                 "true" if pt.converged else "false",
             ]) + "\n")
-
-
-def read_curve_csv(path):
-    """Read a curve written by `write_curve_csv` (exact value round-trip)."""
-    points = []
-    scenario = ""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigurationError(f"{path}: unexpected CSV header {header!r}")
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 9:
-                raise ConfigurationError(f"{path}: malformed row {line!r}")
-            scenario = fields[0]
-            points.append(CurvePoint(
-                snr_db=float(fields[1]), rho=float(fields[2]),
-                trials=int(fields[3]), outages=int(fields[4]),
-                p_out=float(fields[5]), ci_low=float(fields[6]),
-                ci_high=float(fields[7]), converged=fields[8] == "true"))
-    return BinomialCurve(scenario=scenario, points=points, master_seed=None)
 
 
 def cmd_predict(spec):

@@ -25,9 +25,9 @@ flat (N, M) channel ``H`` is the one-tap stack ``H[None]`` of
 `selective_sinrs` and `selective_capacity_batch`, with block length 1.
 
 `transfer_function` (the per-bin DFT ``H(k)``) is kept as the public
-per-bin reference, and a time-domain construction on the explicit
-block-circulant channel operator (`selective_sinrs_oracle`) is an
-independent cross-check of both.
+per-bin reference.  `selective_sinrs_oracle` is an independent
+time-domain cross-check of both: it builds the explicit block-circulant
+channel operator itself and inverts its regularized Gram matrix.
 
 Two conventions for the scaling constant ``c`` in ``I + c H^H H`` are
 supported for selective channels: ``"per-tap"`` uses ``rho / (M * L)``
@@ -55,7 +55,6 @@ from .exceptions import (ConfigurationError, NumericalError, NumericalHealthWarn
 
 __all__ = [
     "SCALING_CONVENTIONS",
-    "block_circulant_operator",
     "collect_health",
     "merge_health",
     "noise_scaling",
@@ -63,7 +62,6 @@ __all__ = [
     "selective_capacity_batch",
     "selective_sinrs",
     "selective_sinrs_oracle",
-    "spd_inverse_diagonal",
     "transfer_function",
 ]
 
@@ -180,19 +178,6 @@ def _inverse_diagonal(diag, upper):
         total /= piv[j]
         out[j] = total
     return out
-
-
-def spd_inverse_diagonal(mats):
-    """Diagonal of the inverse of Hermitian positive-definite matrices.
-
-    Accepts stacks of shape (..., M, M) and returns real (..., M).  Runs
-    `_inverse_diagonal` on the diagonal and the upper triangle.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    iu = np.triu_indices(mats.shape[-1], 1)
-    diag = np.moveaxis(np.diagonal(mats, axis1=-2, axis2=-1).real, -1, 0)
-    upper = np.moveaxis(mats[..., iu[0], iu[1]], -1, 0)
-    return np.stack(_inverse_diagonal(diag, [*upper.real, *upper.imag]), axis=-1)
 
 
 def _sinrs_from_mse(mse):
@@ -385,41 +370,28 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     return cap.reshape(lead)[()]
 
 
-def block_circulant_operator(taps, n_blocks):
-    """Block-circulant channel operator of a cyclic-prefix transmission.
-
-    Returns the (K*N, K*M) matrix whose (t, s) block equals tap
-    ``(t - s) mod K`` (zero for lags >= L).
-    """
-    taps = np.asarray(taps, dtype=complex)
-    n_taps, n_rx, n_tx = taps.shape
-    n_blocks = _check_block_length(n_taps, n_blocks)
-    out = np.zeros((n_blocks * n_rx, n_blocks * n_tx), dtype=complex)
-    for t in range(n_blocks):
-        for lag in range(n_taps):
-            s = (t - lag) % n_blocks
-            out[t * n_rx:(t + 1) * n_rx, s * n_tx:(s + 1) * n_tx] = taps[lag]
-    return out
-
-
 def selective_sinrs_oracle(taps, rho, n_bins, scaling="per-tap"):
     """Time-domain MMSE SINRs on the explicit block-circulant operator.
 
     Independent cross-check of `selective_sinrs`: builds the (K*N, K*M)
-    circulant operator, inverts the regularized time-domain Gram matrix
-    directly, and averages the diagonal over the K time slots of each
-    stream.  Cost is O((K*M)^3); inputs are capped at K*M <= 512.
+    channel operator of a cyclic-prefix block, whose (t, s) block is tap
+    ``(t - s) mod K`` (zero for lags >= L), inverts the regularized
+    time-domain Gram matrix directly, and averages the diagonal over the K
+    time slots of each stream.  Cost is O((K*M)^3); inputs are capped at
+    K*M <= 512.
     """
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 3:
         raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
     _check_finite(taps, "channel taps")
-    n_taps, _, n_tx = taps.shape
+    n_taps, n_rx, n_tx = taps.shape
     n_bins = _check_block_length(n_taps, n_bins)
     if n_bins * n_tx > ORACLE_SIZE_CAP:
         raise ConfigurationError(
             f"oracle size cap exceeded: K*M = {n_bins * n_tx} > {ORACLE_SIZE_CAP}")
-    op = block_circulant_operator(taps, n_bins)
+    padded = np.concatenate([taps, np.zeros((n_bins - n_taps, n_rx, n_tx))])
+    lag = np.subtract.outer(np.arange(n_bins), np.arange(n_bins)) % n_bins
+    op = padded[lag].swapaxes(1, 2).reshape(n_bins * n_rx, n_bins * n_tx)
     c = noise_scaling(rho, n_tx, n_taps, scaling)
     gram = np.eye(n_bins * n_tx) + c * (op.conj().T @ op)
     inv = np.linalg.inv(gram)

@@ -38,8 +38,16 @@ WILSON_Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def wilson_interval(successes, trials):
-    """Wilson 95% score interval; well behaved at small and zero counts."""
-    if trials <= 0:
+    """Wilson 95% score interval; well behaved at small and zero counts.
+
+    ``successes`` and ``trials`` are integers with
+    ``0 <= successes <= trials``; zero trials give ``(0.0, 1.0)``.
+    """
+    _require_integers(successes=successes, trials=trials)
+    if not 0 <= successes <= trials:
+        raise ConfigurationError(
+            f"need 0 <= successes <= trials, got {successes} of {trials}")
+    if trials == 0:
         return 0.0, 1.0
     z = WILSON_Z_95
     phat = successes / trials
@@ -102,16 +110,9 @@ class BinomialCurve:
     points: list
     master_seed: int | None = None
 
-    def __len__(self):
-        return len(self.points)
-
     def column(self, name):
         """Per-point field as a numpy array (e.g. 'rho', 'p_out')."""
         return np.asarray([getattr(pt, name) for pt in self.points])
-
-    @property
-    def rho(self):
-        return self.column("rho")
 
     @property
     def snr_db(self):
@@ -143,6 +144,11 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     """Event count of one block and the mmse health counters it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
     events, health = mmse.collect_health(kernel, rho, rng, n_trials)
+    if not (isinstance(events, numbers.Integral) and 0 <= events <= n_trials):
+        raise ConfigurationError(
+            f"kernel counted {events!r} events in {n_trials} trials at grid "
+            f"point {point_index}, block {block_index}; need an integer in "
+            f"[0, {n_trials}]")
     return int(events), health
 
 
@@ -193,8 +199,9 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
     ----------
     kernel : callable
         ``kernel(rho, rng, n) -> int`` counting events among ``n``
-        independent trials drawn from ``rng``.  Must be picklable when
-        ``workers > 1``.
+        independent trials drawn from ``rng``: an integer ``count`` with
+        ``0 <= count <= n``, else `ConfigurationError` names the grid point
+        and the block.  Must be picklable when ``workers > 1``.
     rho_grid : 1-D array of strictly increasing positive linear SNRs.
     policy : TrialPolicy, optional
     master_seed : int

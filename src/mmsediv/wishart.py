@@ -15,9 +15,8 @@ For M = 2 the spectrum has a closed form in the columns ``x``, ``y`` of
 ``lambda_min = det / lambda_max``, where ``det`` is the sum of the squared
 2 x 2 minors of ``H`` (Cauchy-Binet), so a small ``lambda_min`` loses
 nothing to cancellation.  Other M go through ``eigvalsh``.  The tail
-kernel hands every trial whose event lies within ``_TIE_BAND`` of its
-threshold back to ``eigvalsh``, so each event is decided as ``eigvalsh``
-decides it.
+kernel decides every event once, on that spectrum: at M = 2 the closed
+form decides it.
 
 The normalization constant of the joint density is never computed; density
 checks normalize numerically over a compact box.
@@ -44,9 +43,6 @@ __all__ = [
 
 # lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
-# half-width, relative to lambda_max, of the band around an event's threshold
-# in which `_TailKernel` lets `eigvalsh` decide the event
-_TIE_BAND = 1e-12
 
 
 def _check_dims(M, N):
@@ -127,7 +123,6 @@ _SPECTRUM_CHUNK = 65536
 
 
 # Tail events: module-level functions, so that a `_TailKernel` pickles.
-# Each one is monotone: raising any eigenvalue can only turn it false.
 def _sum_below(lam, m, b, rho):
     return rho * lam[:, :m].sum(axis=1) < b
 
@@ -140,12 +135,8 @@ def _mth_below(lam, m, b, rho):
 class _TailKernel:
     """Counts the ascending spectra ``lam`` with ``event(lam, m, b, rho)``.
 
-    A trial counts for sure if its event holds with every eigenvalue raised
-    by ``_TIE_BAND * lambda_max``.  A trial whose event holds only with
-    every eigenvalue lowered by that much is decided on its `eigvalsh`
-    spectrum instead.  The closed-form M = 2 spectrum lies far inside the
-    band around the `eigvalsh` one, so every count equals the `eigvalsh`
-    count; for other M `_spectra` is `eigvalsh` already.
+    Each event is decided once, on the spectrum `_spectra` returns: the
+    closed form at M = 2, ``eigvalsh`` for every other M.
     """
 
     M: int
@@ -158,15 +149,8 @@ class _TailKernel:
         h = sample_complex_gaussian(self.N, self.M, rng, size=n_trials)
         events = 0
         for lo in range(0, n_trials, _SPECTRUM_CHUNK):
-            chunk = h[lo:lo + _SPECTRUM_CHUNK]
-            lam = _spectra(chunk)
-            band = _TIE_BAND * lam[:, -1:]
-            sure = self.event(lam + band, self.m, self.b, rho)
-            near = self.event(lam - band, self.m, self.b, rho) & ~sure
-            events += int(np.count_nonzero(sure))
-            if near.any():
-                exact = _eigvalsh_spectra(chunk[near])
-                events += int(np.count_nonzero(self.event(exact, self.m, self.b, rho)))
+            lam = _spectra(h[lo:lo + _SPECTRUM_CHUNK])
+            events += int(np.count_nonzero(self.event(lam, self.m, self.b, rho)))
         return events
 
 

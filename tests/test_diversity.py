@@ -232,6 +232,14 @@ class TestWilsonInterval:
     def test_zero_trials(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("successes, trials", [
+        (5, 3), (-1, 10), (0, -1), (2.5, 10), (1, 10.0)],
+        ids=["above-trials", "negative-successes", "negative-trials",
+             "non-integer-successes", "non-integer-trials"])
+    def test_rejects_bad_counts(self, successes, trials):
+        with pytest.raises(ConfigurationError):
+            wilson_interval(successes, trials)
+
     def test_shrinks_with_n(self):
         w1 = np.diff(wilson_interval(10, 100))[0]
         w2 = np.diff(wilson_interval(100, 1000))[0]
@@ -354,6 +362,31 @@ def _clamping_kernel(rho, rng, n_trials):
     """Every trial is an event; each block clamps one SINR beyond the slack."""
     mmse._sinrs_from_mse(np.array([1.0 + 1e-9, 0.5]))
     return n_trials
+
+
+def _overcounting_kernel(rho, rng, n_trials):
+    return n_trials + 1 if rho > 1.0 else 0
+
+
+def _negative_kernel(rho, rng, n_trials):
+    return -1 if rho > 1.0 else 0
+
+
+def _float_kernel(rho, rng, n_trials):
+    return 0.5 * n_trials if rho > 1.0 else 0
+
+
+class TestKernelCounts:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kernel", [_overcounting_kernel, _negative_kernel,
+                                        _float_kernel],
+                             ids=["n+1", "-1", "float"])
+    def test_bad_count_names_point_and_block(self, kernel, workers):
+        # the first grid point counts 0 events; the second a bad count
+        policy = TrialPolicy(max_trials=20, target_events=5, block_trials=10)
+        with pytest.raises(ConfigurationError, match="grid point 1, block 0"):
+            estimate_binomial_curve(kernel, [1.0, 2.0], policy=policy,
+                                    workers=workers)
 
 
 class TestSweepNumericalHealth:

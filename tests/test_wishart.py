@@ -103,33 +103,27 @@ class TestClosedFormSpectra:
             assert np.all(np.abs(lam - exact) <= 1e-13 * exact[1])
 
 
-class TestTieBreak:
-    """Trials within `_TIE_BAND` of a threshold are decided by eigvalsh."""
+class TestTailKernel:
+    """`_TailKernel` decides each event on `_spectra`, chunk by chunk."""
 
-    @pytest.mark.parametrize("N", [2, 3])
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("event", [wishart._sum_below, wishart._mth_below])
-    def test_threshold_on_an_eigvalsh_eigenvalue(self, monkeypatch, event, m, N):
-        n = 5000
-        h = sample_complex_gaussian(N, 2, rng_for(30, N), size=n)
-        # the reference spectra: a Gram einsum, eigvalsh and a clamp at zero
-        lam = np.maximum(np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h)),
-                         0.0)
-        # rho = 1 puts the threshold exactly on trial 0's eigenvalues
-        b = float(lam[:1, :m].sum(axis=1)[0] if event is wishart._sum_below
-                  else lam[0, m - 1])
-        expected = int(np.count_nonzero(event(lam, m, b, 1.0)))
-        rows = []
-        eigvalsh_spectra = wishart._eigvalsh_spectra
-
-        def counting(h_near):
-            rows.append(h_near.shape[0])
-            return eigvalsh_spectra(h_near)
-
-        monkeypatch.setattr(wishart, "_eigvalsh_spectra", counting)
-        kernel = wishart._TailKernel(M=2, N=N, m=m, b=b, event=event)
-        assert kernel(1.0, rng_for(30, N), n) == expected
-        assert sum(rows) >= 1
+    @pytest.mark.parametrize("M, N, event", [
+        (2, 2, wishart._sum_below), (2, 2, wishart._mth_below),
+        (2, 3, wishart._sum_below), (2, 3, wishart._mth_below),
+        (3, 3, wishart._mth_below),
+    ], ids=["sum-N2", "mth-N2", "sum-N3", "mth-N3", "mth-M3-eigvalsh"])
+    def test_count_spans_two_chunks(self, M, N, event):
+        n = 70_000
+        assert wishart._SPECTRUM_CHUNK < n < 2 * wishart._SPECTRUM_CHUNK
+        lam = wishart._spectra(sample_complex_gaussian(N, M, rng_for(40, M, N),
+                                                       size=n))
+        # a threshold halfway between two order statistics near the median,
+        # so that no trial lies within rounding of it
+        stat = np.sort(lam[:, :2].sum(axis=1) if event is wishart._sum_below
+                       else lam[:, 1])
+        b = float(0.5 * (stat[n // 2] + stat[n // 2 + 1]))
+        expected = int(np.count_nonzero(event(lam, 2, b, 1.0)))
+        kernel = wishart._TailKernel(M=M, N=N, m=2, b=b, event=event)
+        assert kernel(1.0, rng_for(40, M, N), n) == expected
 
 
 class TestLogDensity:
