@@ -17,7 +17,7 @@ from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          NumericalError, NumericalHealthWarning)
-from .mmse import (noise_scaling, selective_capacity_batch, selective_sinrs,
+from .mmse import (selective_capacity_batch, selective_sinrs,
                    selective_sinrs_oracle, transfer_function)
 from .montecarlo import (BinomialCurve, CurvePoint, TrialPolicy,
                          estimate_binomial_curve, wilson_interval)
@@ -46,7 +46,6 @@ __all__ = [
     "estimate_outage",
     "fit_diversity_slope",
     "log_density_unnormalized",
-    "noise_scaling",
     "resolve_rate_regime",
     "resolve_rate_regime_flat",
     "resolve_rate_regime_selective",

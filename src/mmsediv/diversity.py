@@ -10,15 +10,18 @@ where only a bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is known; the
 resolver reports the bracket and never a point value there.
 
 The Monte Carlo side estimates outage probabilities ``P(I < R)`` over an
-SNR grid with the deterministic block engine of `mmsediv.montecarlo`, and
-`fit_diversity_slope` recovers the decay exponent by weighted
-least-squares regression of log10 p_out on log10 rho.  Diversity is a
-high-SNR limit statement, so only converged points with small outage
-probability are eligible for the fit by default.
+SNR grid with the deterministic block engine of `mmsediv.montecarlo`.  Its
+kernel is `_count_below` with the MMSE capacity as the statistic and R as
+the threshold; the Wishart tails of `mmsediv.wishart` use the same kernel
+with a spectral statistic.  `fit_diversity_slope` recovers the decay
+exponent by weighted least-squares regression of log10 p_out on log10 rho.
+Diversity is a high-SNR limit statement, so only converged points with
+small outage probability are eligible for the fit by default.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,17 +190,21 @@ def resolve_rate_regime(cfg):
     return resolve_rate_regime_selective(cfg.M, cfg.N, cfg.L, cfg.K, cfg.R)
 
 
-@dataclass(frozen=True)
-class _OutageKernel:
-    """Counts capacity outages of the link ``cfg``; ``L == 1`` is flat fading."""
+def _count_below(statistic, threshold, dims, rho, rng, n_trials):
+    """Number of trials whose ``statistic(taps, rho)`` is below ``threshold``.
 
-    cfg: SystemConfig
+    A trial is L standard complex Gaussian N x M taps, ``dims = (N, M, L)``.
+    Every library kernel is a `functools.partial` of this function, so
+    kernels pickle for ``workers > 1``; each statistic bounds its memory.
+    """
+    N, M, L = dims
+    taps = sample_complex_gaussian(N, M, rng, size=(n_trials, L))
+    return int(np.count_nonzero(statistic(taps, rho) < threshold))
 
-    def __call__(self, rho, rng, n_trials):
-        cfg = self.cfg
-        taps = sample_complex_gaussian(cfg.N, cfg.M, rng, size=(n_trials, cfg.L))
-        cap = mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
-        return int(np.count_nonzero(cap < cfg.R))
+
+def _capacity(taps, rho, cfg):
+    """The outage statistic; `mmse` is looked up at call time, not bound."""
+    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
 
 
 def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
@@ -211,7 +218,9 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
-    return estimate_binomial_curve(_OutageKernel(cfg), 10.0 ** (snr_db / 10.0),
+    kernel = functools.partial(_count_below, functools.partial(_capacity, cfg=cfg),
+                               cfg.R, (cfg.N, cfg.M, cfg.L))
+    return estimate_binomial_curve(kernel, 10.0 ** (snr_db / 10.0),
                                    policy=policy, master_seed=master_seed,
                                    workers=workers, scenario=cfg.label(),
                                    snr_db_grid=snr_db)

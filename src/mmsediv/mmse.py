@@ -57,7 +57,6 @@ __all__ = [
     "SCALING_CONVENTIONS",
     "collect_health",
     "merge_health",
-    "noise_scaling",
     "numerical_health",
     "selective_capacity_batch",
     "selective_sinrs",

@@ -127,19 +127,6 @@ class BinomialCurve:
         return self.column("converged")
 
 
-def _block_plan(policy):
-    """Block sizes covering exactly max_trials trials."""
-    plan = []
-    total = 0
-    index = 0
-    while total < policy.max_trials:
-        n = min(policy.block_trials, policy.max_trials - total)
-        plan.append((index, n))
-        total += n
-        index += 1
-    return plan
-
-
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     """Event count of one block and the mmse health counters it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
@@ -154,26 +141,28 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
 
 def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
                     map_blocks, wave_size):
-    plan = _block_plan(policy)
     run_block = functools.partial(_block_events, kernel, rho, master_seed,
                                   point_index)
+    # block i holds min(block_trials, max_trials - i * block_trials) trials;
+    # sizes are computed per wave, so no schedule of every block is built
+    size = policy.block_trials
+    n_blocks = -(-policy.max_trials // size)
     trials = 0
     events = 0
-    cursor = 0
-    stopped = False
-    while cursor < len(plan) and not stopped:
-        wave = plan[cursor:cursor + wave_size]
-        results = list(map_blocks(run_block, *zip(*wave)))
+    first = 0
+    while trials < policy.max_trials and events < policy.target_events:
+        wave = range(first, min(first + wave_size, n_blocks))
+        sizes = [min(size, policy.max_trials - i * size) for i in wave]
+        results = list(map_blocks(run_block, wave, sizes))
         # consume strictly in block order; speculative blocks past the
         # stopping block are discarded, so worker count cannot matter
-        for (_, n), (count, health) in zip(wave, results):
+        for n, (count, health) in zip(sizes, results):
             trials += n
             events += count
             mmse.merge_health(health)
             if events >= policy.target_events or trials >= policy.max_trials:
-                stopped = True
                 break
-        cursor += len(wave)
+        first += wave_size
     p_out = events / trials
     ci_low, ci_high = wilson_interval(events, trials)
     return CurvePoint(rho=float(rho), snr_db=float(snr_db), trials=trials,

@@ -34,10 +34,14 @@ def derive_stream(master_seed, *key):
     Equal arguments always yield identically seeded generators, so work
     split across threads or processes stays reproducible as long as each
     unit of work owns a distinct key.  The seed and every key part must
-    be integers, numpy's too.
+    be non-negative integers, numpy's too.
     """
-    _require_integers(master_seed=master_seed,
-                      **{f"key[{i}]": k for i, k in enumerate(key)})
+    parts = {"master_seed": master_seed,
+             **{f"key[{i}]": k for i, k in enumerate(key)}}
+    _require_integers(**parts)
+    for name, value in parts.items():
+        if value < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {value}")
     seq = np.random.SeedSequence(entropy=int(master_seed),
                                  spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(seq)

@@ -6,17 +6,20 @@ density of the ordered spectrum, and estimates two families of small-ball
 probabilities whose high-SNR decay exponents are checked against the
 closed-form value ``m (N - M + m)``:
 
-* ``P(sum_{k<=m} rho * lambda_k < b)`` (`tail_sum_probability`),
-* ``P(lambda_m <= b / rho)`` (`smallest_eigs_probability`).
+* ``P(rho * sum_{k<=m} lambda_k < b)`` (`tail_sum_probability`),
+* ``P(rho * lambda_m < b)`` (`smallest_eigs_probability`).
+
+Both are the one-tap case of the outage kernel `diversity._count_below`,
+with a spectral statistic and threshold b.
 
 For M = 2 the spectrum has a closed form in the columns ``x``, ``y`` of
 ``H``: with ``a = |x|^2``, ``d = |y|^2`` and ``g = x^H y``,
 ``lambda_max = (a + d + hypot(a - d, 2|g|)) / 2`` and
 ``lambda_min = det / lambda_max``, where ``det`` is the sum of the squared
 2 x 2 minors of ``H`` (Cauchy-Binet), so a small ``lambda_min`` loses
-nothing to cancellation.  Other M go through ``eigvalsh``.  The tail
-kernel decides every event once, on that spectrum: at M = 2 the closed
-form decides it.
+nothing to cancellation.  Other M go through ``eigvalsh``.  Every tail
+event is decided once, on that spectrum: at M = 2 the closed form decides
+it.
 
 The normalization constant of the joint density is never computed; density
 checks normalize numerically over a compact box.
@@ -24,12 +27,12 @@ checks normalize numerically over a compact box.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+import functools
 from itertools import combinations
 
 import numpy as np
 
+from .diversity import _count_below
 from .exceptions import ConfigurationError, NumericalError, _require_integers
 from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
@@ -43,6 +46,7 @@ __all__ = [
 
 # lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
+_SPECTRUM_CHUNK = 65536
 
 
 def _check_dims(M, N):
@@ -60,17 +64,14 @@ def _eigvalsh_spectra(h):
     return np.maximum(eigs, 0.0)
 
 
-def _spectra(h):
-    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative.
+def _pair_spectra(h):
+    """Closed-form spectra of a (n, N, 2) stack (module docstring).
 
-    M = 2 uses the closed form of the module docstring.  Its
     ``lambda_min`` is clamped to ``[0, lambda_max]``, which keeps every row
     ascending when the two eigenvalues agree to rounding, and ``H = 0``
     gives ``(0, 0)``.  It lies within a few ulps of ``lambda_max`` of the
-    ``eigvalsh`` spectrum (`_eigvalsh_spectra`), which serves every other M.
+    ``eigvalsh`` spectrum.
     """
-    if h.shape[-1] != 2:
-        return _eigvalsh_spectra(h)
     x, y = h[..., 0], h[..., 1]
     a = np.einsum("bn,bn->b", x.conj(), x).real
     d = np.einsum("bn,bn->b", y.conj(), y).real
@@ -83,6 +84,19 @@ def _spectra(h):
     lam_min = np.divide(det, lam_max, out=np.zeros_like(lam_max),
                         where=lam_max > 0.0)
     return np.stack([np.minimum(lam_min, lam_max), lam_max], axis=1)
+
+
+def _spectra(h):
+    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative.
+
+    Closed form at M = 2, ``eigvalsh`` otherwise, `_SPECTRUM_CHUNK` rows at
+    a time: beyond the input and the result, temporaries stay bounded.
+    """
+    spectra = _pair_spectra if h.shape[-1] == 2 else _eigvalsh_spectra
+    lam = np.empty((len(h), h.shape[-1]))
+    for lo in range(0, len(h), _SPECTRUM_CHUNK):
+        lam[lo:lo + _SPECTRUM_CHUNK] = spectra(h[lo:lo + _SPECTRUM_CHUNK])
+    return lam
 
 
 def sample_spectra(M, N, rng, n_draws):
@@ -119,42 +133,17 @@ def log_density_unnormalized(eigenvalues, N):
     return value
 
 
-_SPECTRUM_CHUNK = 65536
+# Tail statistics of one-tap draws (n, 1, N, M); module-level, so that a
+# kernel pickles
+def _sum_statistic(taps, rho, m):
+    return rho * _spectra(taps[:, 0])[:, :m].sum(axis=1)
 
 
-# Tail events: module-level functions, so that a `_TailKernel` pickles.
-def _sum_below(lam, m, b, rho):
-    return rho * lam[:, :m].sum(axis=1) < b
+def _mth_statistic(taps, rho, m):
+    return rho * _spectra(taps[:, 0])[:, m - 1]
 
 
-def _mth_below(lam, m, b, rho):
-    return lam[:, m - 1] <= b / rho
-
-
-@dataclass(frozen=True)
-class _TailKernel:
-    """Counts the ascending spectra ``lam`` with ``event(lam, m, b, rho)``.
-
-    Each event is decided once, on the spectrum `_spectra` returns: the
-    closed form at M = 2, ``eigvalsh`` for every other M.
-    """
-
-    M: int
-    N: int
-    m: int
-    b: float
-    event: Callable
-
-    def __call__(self, rho, rng, n_trials):
-        h = sample_complex_gaussian(self.N, self.M, rng, size=n_trials)
-        events = 0
-        for lo in range(0, n_trials, _SPECTRUM_CHUNK):
-            lam = _spectra(h[lo:lo + _SPECTRUM_CHUNK])
-            events += int(np.count_nonzero(self.event(lam, self.m, self.b, rho)))
-        return events
-
-
-def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers):
+def _tail_curve(kind, statistic, M, N, m, b, rho_grid, policy, master_seed, workers):
     """Checks the arguments and estimates the event curve of one tail kind."""
     _check_dims(M, N)
     _require_integers(m=m)
@@ -162,7 +151,9 @@ def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers)
         raise ConfigurationError(f"need 1 <= m <= M, got m={m}, M={M}")
     if not (np.isfinite(b) and b > 0.0):
         raise ConfigurationError(f"threshold b must be positive and finite, got {b}")
-    kernel = _TailKernel(M=int(M), N=int(N), m=int(m), b=float(b), event=event)
+    kernel = functools.partial(_count_below,
+                               functools.partial(statistic, m=int(m)),
+                               float(b), (int(N), int(M), 1))
     return estimate_binomial_curve(kernel, rho_grid, policy=policy,
                                    master_seed=master_seed, workers=workers,
                                    scenario=f"wishart-{kind}-M{M}-N{N}-m{m}-b{b:g}")
@@ -170,22 +161,25 @@ def _tail_curve(kind, event, M, N, m, b, rho_grid, policy, master_seed, workers)
 
 def tail_sum_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
                          workers=1):
-    """Monte Carlo curve of P(sum of the m smallest eigenvalues * rho < b).
+    """Monte Carlo curve of P(rho * sum of the m smallest eigenvalues < b).
 
     Same adaptive stopping, confidence intervals and seeding contract as
     `mmsediv.diversity.estimate_outage`; the fitted log-log slope of the
     returned curve estimates the decay exponent m (N - M + m).
     """
-    return _tail_curve("sum", _sum_below, M, N, m, b, rho_grid, policy,
+    return _tail_curve("sum", _sum_statistic, M, N, m, b, rho_grid, policy,
                        master_seed, workers)
 
 
 def smallest_eigs_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
                               workers=1):
-    """Monte Carlo curve of P(lambda_m <= b / rho) for the ordered spectrum.
+    """Monte Carlo curve of P(rho * lambda_m < b) for the ordered spectrum.
 
-    The event that the m smallest eigenvalues all fall below b/rho is the
-    event on the m-th one alone; its decay exponent is m (N - M + m).
+    The event ``rho * lambda_m < b`` has the same law as
+    ``lambda_m <= b / rho``: they differ only at ``lambda_m = b / rho``,
+    which has probability zero.  That the m smallest eigenvalues all fall
+    below b/rho is the event on the m-th one alone; its decay exponent is
+    m (N - M + m).
     """
-    return _tail_curve("min", _mth_below, M, N, m, b, rho_grid, policy,
+    return _tail_curve("min", _mth_statistic, M, N, m, b, rho_grid, policy,
                        master_seed, workers)

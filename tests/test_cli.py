@@ -310,6 +310,13 @@ class TestVerifySubcommands:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("command", ["verify-haar", "verify-sinr",
+                                         "verify-wishart"])
+    def test_negative_seed_exits_1(self, capsys, command):
+        code, _, err = run([command, "--seed", "-1"], capsys)
+        assert code == 1
+        assert "master_seed must be >= 0, got -1" in err
+
 
 class TestModuleEntry:
     @pytest.mark.parametrize("args, code, text", [

@@ -67,3 +67,24 @@ def test_benchmark_layer_spans_resolve():
         resolved[name] |= hasattr(module, attr)
     assert len(resolved) >= 5
     assert [name for name, ok in resolved.items() if not ok] == []
+
+
+@pytest.mark.parametrize("sweep, spans", [
+    (lambda policy: mmsediv.estimate_outage(
+        mmsediv.SystemConfig(M=2, N=2, R=1.2), [10.0], policy=policy),
+     {"randmat.sample", "mmse.capacity", "diversity.kernel"}),
+    (lambda policy: mmsediv.estimate_outage(
+        mmsediv.SystemConfig(M=2, N=2, R=3.0, L=2, K=8), [10.0], policy=policy),
+     {"randmat.sample", "mmse.capacity", "diversity.kernel"}),
+    (lambda policy: mmsediv.smallest_eigs_probability(2, 2, 2, 2.0, [10.0],
+                                                      policy=policy),
+     {"randmat.sample", "wishart.kernel"}),
+], ids=["flat", "selective", "min-tail"])
+def test_benchmark_layers_record_spans(sweep, spans):
+    # a patched attribute that a kernel no longer calls through would still
+    # resolve, yet its layer would read 0 in the benchmark
+    tracing = load_file(ROOT / "benchmarks" / "tracing.py")
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        sweep(mmsediv.TrialPolicy(max_trials=4000, block_trials=4000))
+    assert spans <= {name for name, *_ in tracer.spans}

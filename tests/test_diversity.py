@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      ConfigurationError, CurvePoint, FitWindow,
                      InsufficientDataError, NumericalHealthWarning,
-                     SystemConfig, TrialPolicy, estimate_binomial_curve,
-                     estimate_outage, fit_diversity_slope,
-                     resolve_rate_regime, resolve_rate_regime_flat,
-                     resolve_rate_regime_selective, wilson_interval)
+                     SystemConfig, TrialPolicy, derive_stream,
+                     estimate_binomial_curve, estimate_outage,
+                     fit_diversity_slope, resolve_rate_regime,
+                     resolve_rate_regime_flat, resolve_rate_regime_selective,
+                     wilson_interval)
 from mmsediv import mmse, montecarlo
 from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
 
@@ -387,6 +389,40 @@ class TestKernelCounts:
         with pytest.raises(ConfigurationError, match="grid point 1, block 0"):
             estimate_binomial_curve(kernel, [1.0, 2.0], policy=policy,
                                     workers=workers)
+
+
+def _all_events_kernel(rho, rng, n_trials):
+    return n_trials
+
+
+class TestBlockSchedule:
+    def test_blocks_keep_their_indices_and_sizes(self):
+        # 250 trials in blocks of 100: blocks 0, 1 and 2 of 100, 100 and 50
+        calls = []
+
+        def kernel(rho, rng, n_trials):
+            calls.append((n_trials, int(rng.integers(2**62))))
+            return 0
+
+        policy = TrialPolicy(max_trials=250, target_events=1, block_trials=100)
+        curve = estimate_binomial_curve(kernel, [1.0], policy=policy,
+                                        master_seed=7)
+        assert curve.points[0].trials == 250
+        assert calls == [(n, int(derive_stream(7, 0, i).integers(2**62)))
+                         for i, n in enumerate((100, 100, 50))]
+
+    def test_huge_budget_builds_no_schedule(self):
+        # 10**10 trials are 100,000 blocks; the point stops in block 0
+        policy = TrialPolicy(max_trials=10**10, target_events=1)
+        tracemalloc.start()
+        try:
+            curve = estimate_binomial_curve(_all_events_kernel, [1.0],
+                                            policy=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.points[0].trials == policy.block_trials
+        assert peak < 2**20
 
 
 class TestSweepNumericalHealth:

@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmsediv import (SystemConfig, derive_stream, mmse, noise_scaling,
+from mmsediv import (SystemConfig, derive_stream, diversity, mmse,
                      sample_complex_gaussian, selective_capacity_batch,
                      transfer_function)
-from mmsediv.diversity import _OutageKernel
 
 REALIZATIONS = 3
 
@@ -48,7 +47,7 @@ snr_db = st.floats(-10.0, 40.0)
 def per_bin_capacity(taps, rho, n_bins, scaling):
     """Capacity from the explicit per-bin channels and full matrix inverses."""
     n_taps, _, m = taps.shape[-3:]
-    c = noise_scaling(rho, m, n_taps, scaling)
+    c = mmse.noise_scaling(rho, m, n_taps, scaling)
     freq = transfer_function(taps, n_bins)
     gram = np.eye(m) + c * np.einsum("...kni,...knj->...kij", freq.conj(), freq)
     inv = np.linalg.inv(gram)
@@ -118,8 +117,11 @@ def test_capacity_call_memory_is_bounded():
     # sized for one Gram matrix per trial (65536 * 384 B) push past 30 MiB
     (SystemConfig(M=2, N=2, R=1.2), 200_000, 30),
 ], ids=["selective", "flat"])
-def test_outage_kernel_memory_is_bounded(cfg, n_trials, limit_mib):
-    kernel = _OutageKernel(cfg)
+def test_outage_kernel_memory_is_bounded(cfg, n_trials, limit_mib, monkeypatch):
+    # the kernel `estimate_outage` hands to the block engine
+    monkeypatch.setattr(diversity, "estimate_binomial_curve",
+                        lambda kernel, *args, **kwargs: kernel)
+    kernel = diversity.estimate_outage(cfg, [10.0])
     tracemalloc.start()
     try:
         kernel(10.0, derive_stream(0, 0, 0), n_trials)

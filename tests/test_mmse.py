@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmsediv import (ConfigurationError, NumericalError, NumericalHealthWarning,
-                     derive_stream, noise_scaling, sample_complex_gaussian,
+                     derive_stream, sample_complex_gaussian,
                      selective_capacity_batch, selective_sinrs,
                      selective_sinrs_oracle, transfer_function)
 from mmsediv import mmse as mmse_mod
@@ -167,7 +167,7 @@ class TestBlockCirculantOracle:
         taps = sample_complex_gaussian(2, 2, rng_for(20), size=3)
         bins, m = 8, 2
         op = block_circulant_operator(taps, bins)
-        c = noise_scaling(4.0, m, 3)
+        c = mmse_mod.noise_scaling(4.0, m, 3)
         gram = np.eye(bins * m) + c * (op.conj().T @ op)
         diag = np.real(np.diag(np.linalg.inv(gram))).reshape(bins, m)
         assert np.max(np.abs(diag - diag[0])) <= 1e-10

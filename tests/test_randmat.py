@@ -38,6 +38,14 @@ class TestComplexGaussian:
         with pytest.raises(ConfigurationError, match="integer"):
             derive_stream(*args)
 
+    @pytest.mark.parametrize("args, name", [
+        ((-1, 0), "master_seed"), ((1, -2), r"key\[0\]"),
+        ((1, 0, -3), r"key\[1\]"),
+    ], ids=["seed", "key", "later-key"])
+    def test_derive_stream_rejects_negatives(self, args, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= 0"):
+            derive_stream(*args)
+
     def test_largest_eigenvalue_stays_finite(self):
         h = sample_complex_gaussian(4, 2, rng_for(2), size=1000)
         gram = np.einsum("bnj,bnk->bjk", h.conj(), h)

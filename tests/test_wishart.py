@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -104,26 +106,44 @@ class TestClosedFormSpectra:
 
 
 class TestTailKernel:
-    """`_TailKernel` decides each event on `_spectra`, chunk by chunk."""
+    """`_spectra` walks its chunks; the tail kernels count on its spectra."""
 
-    @pytest.mark.parametrize("M, N, event", [
-        (2, 2, wishart._sum_below), (2, 2, wishart._mth_below),
-        (2, 3, wishart._sum_below), (2, 3, wishart._mth_below),
-        (3, 3, wishart._mth_below),
+    @pytest.mark.parametrize("M, N, estimator", [
+        (2, 2, tail_sum_probability), (2, 2, smallest_eigs_probability),
+        (2, 3, tail_sum_probability), (2, 3, smallest_eigs_probability),
+        (3, 3, smallest_eigs_probability),
     ], ids=["sum-N2", "mth-N2", "sum-N3", "mth-N3", "mth-M3-eigvalsh"])
-    def test_count_spans_two_chunks(self, M, N, event):
+    def test_count_spans_two_chunks(self, M, N, estimator, monkeypatch):
         n = 70_000
-        assert wishart._SPECTRUM_CHUNK < n < 2 * wishart._SPECTRUM_CHUNK
-        lam = wishart._spectra(sample_complex_gaussian(N, M, rng_for(40, M, N),
-                                                       size=n))
+        chunk = wishart._SPECTRUM_CHUNK
+        assert chunk < n < 2 * chunk
+        h = sample_complex_gaussian(N, M, rng_for(40, M, N), size=n)
+        lam = wishart._spectra(h)
+        parts = [wishart._spectra(h[lo:lo + chunk]) for lo in (0, chunk)]
+        assert np.array_equal(lam, np.concatenate(parts))
         # a threshold halfway between two order statistics near the median,
         # so that no trial lies within rounding of it
-        stat = np.sort(lam[:, :2].sum(axis=1) if event is wishart._sum_below
-                       else lam[:, 1])
-        b = float(0.5 * (stat[n // 2] + stat[n // 2 + 1]))
-        expected = int(np.count_nonzero(event(lam, 2, b, 1.0)))
-        kernel = wishart._TailKernel(M=M, N=N, m=2, b=b, event=event)
-        assert kernel(1.0, rng_for(40, M, N), n) == expected
+        stat = (lam[:, :2].sum(axis=1) if estimator is tail_sum_probability
+                else lam[:, 1])
+        ranked = np.sort(stat)
+        b = float(0.5 * (ranked[n // 2] + ranked[n // 2 + 1]))
+        # the kernel the estimator hands to the block engine
+        monkeypatch.setattr(wishart, "estimate_binomial_curve",
+                            lambda kernel, *args, **kwargs: kernel)
+        kernel = estimator(M, N, 2, b, [1.0])
+        assert kernel(1.0, rng_for(40, M, N), n) == np.count_nonzero(stat < b)
+
+    def test_spectra_memory_is_bounded(self):
+        # 300,000 M = 2 draws: the result takes 4.6 MiB, and one closed-form
+        # pass over the whole stack peaks near 30 MiB
+        h = sample_complex_gaussian(2, 2, rng_for(41), size=300_000)
+        tracemalloc.start()
+        try:
+            wishart._spectra(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestLogDensity:
