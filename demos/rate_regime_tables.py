@@ -2,8 +2,10 @@
 
 Sweeps the target rate for a few antenna configurations and prints the
 regime index m, the per-stream rate interval and the predicted diversity.
-For cyclic-prefix frequency-selective channels the table also shows the
-gap rates where only a diversity bracket is known.
+Every row comes from `resolve_rate_regime` on a `SystemConfig`: flat
+fading is its L = 1 case.  For cyclic-prefix frequency-selective channels
+(L > 1) the table also shows the gap rates where only a diversity bracket
+is known.
 
 Run:
     python demos/rate_regime_tables.py
@@ -11,8 +13,8 @@ Run:
 
 import math
 
-from mmsediv import (ApplicabilityError, BoundaryRateError,
-                     resolve_rate_regime_flat, resolve_rate_regime_selective)
+from mmsediv import (ApplicabilityError, BoundaryRateError, SystemConfig,
+                     resolve_rate_regime)
 
 
 def flat_table(m_streams, n_rx):
@@ -21,7 +23,7 @@ def flat_table(m_streams, n_rx):
     rates = [0.1 + 0.35 * i for i in range(12)]
     for rate in rates:
         try:
-            reg = resolve_rate_regime_flat(m_streams, n_rx, rate)
+            reg = resolve_rate_regime(SystemConfig(M=m_streams, N=n_rx, R=rate))
         except BoundaryRateError:
             print(f"{rate:7.2f} {'-':>7} {'boundary rate, refused':>38}")
             continue
@@ -37,7 +39,8 @@ def selective_table(m_streams, n_rx, taps, block):
     rates = [0.2 + 0.45 * i for i in range(14)]
     for rate in rates:
         try:
-            reg = resolve_rate_regime_selective(m_streams, n_rx, taps, block, rate)
+            reg = resolve_rate_regime(SystemConfig(M=m_streams, N=n_rx, R=rate,
+                                                   L=taps, K=block))
         except BoundaryRateError:
             print(f"{rate:7.2f}   boundary rate, refused")
             continue

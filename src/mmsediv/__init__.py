@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
                         estimate_outage, fit_diversity_slope,
-                        resolve_rate_regime, resolve_rate_regime_flat,
-                        resolve_rate_regime_selective)
+                        resolve_rate_regime)
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          NumericalError, NumericalHealthWarning)
@@ -47,8 +46,6 @@ __all__ = [
     "fit_diversity_slope",
     "log_density_unnormalized",
     "resolve_rate_regime",
-    "resolve_rate_regime_flat",
-    "resolve_rate_regime_selective",
     "sample_complex_gaussian",
     "sample_haar_qr_oracle",
     "sample_haar_recursive",

@@ -19,8 +19,9 @@ flag, type, default and help.  ``--config`` names a flat ``key=value``
 file whose keys are the other option names, spelt with ``-`` or ``_``
 (e.g. ``snr-stop=30`` or ``snr_stop=30``).  Precedence: flags over file
 values over the table's defaults.  Exit codes: 0 success, 1
-configuration/applicability/boundary error, 2 completed but unconverged or
-outside the requested tolerance.
+configuration/applicability/boundary error or a numerical breakdown (e.g.
+an SNR so high that the MMSE elimination overflows), 2 completed but
+unconverged or outside the requested tolerance.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, diversity, verify
-from .exceptions import (ConfigurationError, InsufficientDataError)
+from . import __version__, diversity, mmse, verify
+from .exceptions import (ConfigurationError, InsufficientDataError,
+                         NumericalError)
 from .montecarlo import TrialPolicy
 
 __all__ = [
@@ -80,7 +82,7 @@ _OPTIONS = (
     ("--max-trials", int, 10_000_000, "trial budget per SNR point"),
     ("--target-events", int, 200,
      "outage events per point before early stopping"),
-    ("--scaling", ("per-tap", "paper"), "per-tap",
+    ("--scaling", mmse.SCALING_CONVENTIONS, "per-tap",
      "noise-scaling convention: rho/(M*L) or rho/M"),
     ("--config", str, None, "flat key=value configuration file"),
     ("--out", str, "outage_curve.csv", "output CSV path"),
@@ -336,7 +338,9 @@ def main(argv=None):
         if spec.config:
             spec = build_parser(_parse_config_file(spec.config)).parse_args(argv)
         return _COMMANDS[spec.command][1](spec)
-    except ValueError as exc:  # ConfigurationError is a ValueError
+    # ConfigurationError is a ValueError; NumericalError is a breakdown such
+    # as an SNR so high that the elimination overflows
+    except (ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InsufficientDataError as exc:

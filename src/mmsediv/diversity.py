@@ -1,13 +1,14 @@
 """Rate-regime diversity prediction, outage estimation and slope fitting.
 
-The closed-form side resolves, for a fixed target rate R, the regime index
-m whose per-stream rate interval contains R/M and reports the predicted
-high-SNR outage decay exponent (the diversity order): ``m (N - M + m)``
-for flat fading and ``m (L N - M + m)`` for cyclic-prefix
-frequency-selective channels with block length K large enough
-(``K > M^2 (L - 1)``).  For selective channels there is a gap of rates
-where only a bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is known; the
-resolver reports the bracket and never a point value there.
+The closed-form side is one resolver, `resolve_rate_regime`, for the link
+a `SystemConfig` describes.  For a fixed target rate R it finds the regime
+index m whose per-stream rate interval contains R/M and reports the
+predicted high-SNR outage decay exponent (the diversity order)
+``m (L N - M + m)`` of a cyclic-prefix channel with L taps and block
+length K large enough (``K > M^2 (L - 1)``).  Flat fading is its L = 1
+case, ``m (N - M + m)``, with no route of its own.  For L > 1 there is a
+gap of rates where only a bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is
+known; the resolver reports the bracket and never a point value there.
 
 The Monte Carlo side estimates outage probabilities ``P(I < R)`` over an
 SNR grid with the deterministic block engine of `mmsediv.montecarlo`.  Its
@@ -42,17 +43,14 @@ __all__ = [
     "estimate_outage",
     "fit_diversity_slope",
     "resolve_rate_regime",
-    "resolve_rate_regime_flat",
-    "resolve_rate_regime_selective",
 ]
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Dimensions and scenario parameters of one simulated link.
 
-    ``L == 1`` describes a flat-fading channel (K is then unused);
-    ``L > 1`` a cyclic-prefix frequency-selective channel with block
-    length ``K >= L``.
+    A cyclic-prefix channel with L taps and block length ``K >= L``;
+    ``L == 1`` is flat fading, where K changes no result.
     """
 
     M: int
@@ -72,7 +70,7 @@ class SystemConfig:
             raise ConfigurationError(f"L must be >= 1, got {self.L}")
         if self.K < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.K}")
-        if self.L > 1 and self.K < self.L:
+        if self.K < self.L:
             raise ConfigurationError(
                 f"selective channels need K >= L, got K={self.K}, L={self.L}")
         if not math.isfinite(self.R) or self.R < 0.0:
@@ -135,37 +133,28 @@ def _find_regime_index(n_streams, rate_per_stream):
     raise ConfigurationError(f"no regime contains R/M = {rate_per_stream}")
 
 
-def resolve_rate_regime_flat(M, N, R):
-    """Rate regime and diversity order for a flat-fading channel.
+def resolve_rate_regime(cfg):
+    """Rate regime and diversity bounds of the link a `SystemConfig` describes.
 
-    The L = 1 case of `resolve_rate_regime_selective`: the regime index is
-    the unique m in {1, ..., M} with ``log2(M/m) < R/M < log2(M/(m-1))``
-    (upper bound +inf for m = 1), and the predicted diversity is
-    ``m (N - M + m)``, always tight.  A rate exactly on a boundary raises
-    `BoundaryRateError`.
+    One rule serves every tap count; flat fading is its L = 1 case.  The
+    prediction requires ``K > M^2 (L - 1)``, vacuous for L = 1.  The
+    regime index m is the unique m in {1, ..., M} with
+    ``log2(M/m) < R/M < log2(M/(m-1))`` (upper edge +inf for m = 1); a
+    rate exactly on an edge raises `BoundaryRateError`.  If R/M also lies
+    strictly below ``-log2((m-1)/M + (L-1)(M-(m-1))/K)`` the prediction is
+    tight with diversity ``m (L N - M + m)``; otherwise R/M falls in the
+    gap region and only the bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is
+    returned.  For L = 1 the gap term vanishes, the prediction is always
+    the tight ``m (N - M + m)`` whatever K is, and the tight interval ends
+    at the regime's upper edge ``log2(M/(m-1))`` itself, which
+    ``-log2((m-1)/M)`` can miss by one ulp.
+
+    `SystemConfig` has checked the dimensions and that R is finite and
+    nonnegative; R = 0 lies in no regime and is refused here.
     """
-    return resolve_rate_regime_selective(M, N, 1, 1, R)
-
-
-def resolve_rate_regime_selective(M, N, L, K, R):
-    """Rate regime and diversity bounds for a cyclic-prefix selective channel.
-
-    Requires the block length to satisfy ``K > M^2 (L - 1)`` (vacuous for
-    L = 1).  The regime index m comes from the left boundaries
-    ``log2(M/m)``.  If R/M also lies strictly below
-    ``-log2((m-1)/M + (L-1)(M-(m-1))/K)`` the prediction is tight with
-    diversity ``m (L N - M + m)``; otherwise R/M falls in the gap region
-    and only the bracket ``[(m-1)(LN-M+(m-1)), m(LN-M+m)]`` is returned.
-    For L = 1 the gap term vanishes and the tight interval ends at the
-    regime's upper edge ``log2(M/(m-1))`` itself, which ``-log2((m-1)/M)``
-    can miss by one ulp.
-    """
-    _require_integers(M=M, N=N, L=L, K=K)
-    if M < 1 or N < M:
-        raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
-    if L < 1 or K < max(1, L):
-        raise ConfigurationError(f"need K >= L >= 1, got L={L}, K={K}")
-    if R <= 0.0 or not math.isfinite(R):
+    M, N, L, K, R = cfg.M, cfg.N, cfg.L, cfg.K, cfg.R
+    # the rate first: R = 0 raises this error at any K, not ApplicabilityError
+    if R <= 0.0:
         raise ConfigurationError(f"rate must be positive and finite, got {R}")
     if K <= M * M * (L - 1):
         raise ApplicabilityError(
@@ -183,11 +172,6 @@ def resolve_rate_regime_selective(M, N, L, K, R):
     d_low = (m - 1) * (L * N - M + (m - 1))
     return RateRegime(m=m, rate_interval=(tight_high, upper),
                       diversity_low=d_low, diversity_high=d_high, tight=False)
-
-
-def resolve_rate_regime(cfg):
-    """Regime prediction for a `SystemConfig` (flat or selective)."""
-    return resolve_rate_regime_selective(cfg.M, cfg.N, cfg.L, cfg.K, cfg.R)
 
 
 def _count_below(statistic, threshold, dims, rho, rng, n_trials):

@@ -149,7 +149,7 @@ def _inverse_diagonal(diag, upper):
     piv, schur = list(diag), {}
     for j in range(m):
         if not np.all(piv[j] > 0.0):
-            raise NumericalError("elimination hit a nonpositive pivot")
+            raise NumericalError("elimination hit a nonpositive or non-finite pivot")
         for i in range(j + 1, m):
             schur[j, i] = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
             piv[i] = piv[i] - schur[j, i]
@@ -354,6 +354,8 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     the result the call holds about `_CHUNK_BYTES` of temporaries, however
     many realizations it gets.  A stack of at most one chunk is one `_mse`
     call, and a longer one gives the capacities of its chunk-sized calls.
+    Non-finite taps raise `ValueError`, as in `selective_sinrs`, once the
+    elimination of their chunk has failed.
     """
     taps = np.asarray(taps, dtype=complex)
     *lead, n_taps, n_rx, m = taps.shape
@@ -363,8 +365,14 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     cap = np.empty(len(stack))
     # at least one call, so that an empty stack has its arguments checked too
     for lo in range(0, max(len(stack), 1), chunk):
-        beta = _sinrs_from_mse(_mse(stack[lo:lo + chunk], rho, n_bins, scaling))
-        cap[lo:lo + chunk] = np.sum(np.log2(1.0 + beta), axis=-1)
+        part = stack[lo:lo + chunk]
+        try:
+            mse = _mse(part, rho, n_bins, scaling)
+        except NumericalError:
+            # non-finite taps end in a failed pivot; finite ones pay no scan
+            _check_finite(part, "channel taps")
+            raise
+        cap[lo:lo + chunk] = np.sum(np.log2(1.0 + _sinrs_from_mse(mse)), axis=-1)
     # [()] returns a single realization's capacity as a scalar, as a sum does
     return cap.reshape(lead)[()]
 

@@ -12,11 +12,11 @@ import numpy as np
 
 from mmsediv import (FitWindow, SystemConfig, TrialPolicy, derive_stream,
                      estimate_outage, fit_diversity_slope,
-                     resolve_rate_regime_flat, resolve_rate_regime_selective,
-                     sample_complex_gaussian, sample_haar_qr_oracle,
-                     sample_haar_recursive, selective_sinrs,
-                     selective_sinrs_oracle, smallest_eigs_probability,
-                     tail_sum_probability, unitarity_residual)
+                     resolve_rate_regime, sample_complex_gaussian,
+                     sample_haar_qr_oracle, sample_haar_recursive,
+                     selective_sinrs, selective_sinrs_oracle,
+                     smallest_eigs_probability, tail_sum_probability,
+                     unitarity_residual)
 from mmsediv.cli import main as cli_main
 from mmsediv.exceptions import ApplicabilityError, BoundaryRateError
 from scipy import stats
@@ -158,14 +158,15 @@ def test_a8_predictor_unit_suite():
                 low = math.log2(m_streams / m)
                 high = (math.log2(m_streams / (m - 1)) if m > 1 else low + 2.0)
                 rate = m_streams * 0.5 * (low + high)
-                regime = resolve_rate_regime_flat(m_streams, n_rx, rate)
+                regime = resolve_rate_regime(SystemConfig(M=m_streams, N=n_rx,
+                                                          R=rate))
                 ok &= regime.m == m and regime.tight
                 ok &= regime.diversity_high == m * (n_rx - m_streams + m)
     for m_streams in range(2, 5):
         for m in range(1, m_streams):
             try:
-                resolve_rate_regime_flat(m_streams, m_streams,
-                                         m_streams * math.log2(m_streams / m))
+                rate = m_streams * math.log2(m_streams / m)
+                resolve_rate_regime(SystemConfig(M=m_streams, N=m_streams, R=rate))
                 ok = False
             except BoundaryRateError:
                 pass
@@ -176,19 +177,20 @@ def test_a8_predictor_unit_suite():
             tight_high = -math.log2(gap_arg) if gap_arg > 0 else math.inf
             low = math.log2(m_streams / m)
             probe = m_streams * 0.5 * (low + min(tight_high, low + 2.0))
-            regime = resolve_rate_regime_selective(m_streams, n_rx, taps, k, probe)
+            regime = resolve_rate_regime(SystemConfig(
+                M=m_streams, N=n_rx, R=probe, L=taps, K=k))
             ok &= regime.m == m and regime.tight
             ok &= regime.diversity_high == m * (taps * n_rx - m_streams + m)
             upper = math.log2(m_streams / (m - 1)) if m > 1 else math.inf
             if tight_high < upper:
                 gap_probe = m_streams * (0.5 * (tight_high + min(upper, tight_high + 1.0)))
-                regime = resolve_rate_regime_selective(m_streams, n_rx, taps, k,
-                                                       gap_probe)
+                regime = resolve_rate_regime(SystemConfig(
+                    M=m_streams, N=n_rx, R=gap_probe, L=taps, K=k))
                 ok &= regime.m == m and not regime.tight
                 ok &= regime.diversity_high == m * (taps * n_rx - m_streams + m)
                 ok &= regime.diversity_low == (m - 1) * (taps * n_rx - m_streams + (m - 1))
     try:
-        resolve_rate_regime_selective(2, 2, 2, 4, 3.0)
+        resolve_rate_regime(SystemConfig(M=2, N=2, R=3.0, L=2, K=4))
         ok = False
     except ApplicabilityError as err:
         ok &= "K > M^2(L-1)" in str(err)

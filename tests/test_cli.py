@@ -18,6 +18,15 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(args):
+    """Run ``python -m mmsediv.cli`` with this package first on the path."""
+    src = os.path.dirname(os.path.dirname(mmsediv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mmsediv.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestPredict:
     def test_reference_scenario(self, capsys):
         code, out, _ = run(["predict", "--M", "2", "--N", "2", "--L", "2",
@@ -119,6 +128,17 @@ class TestOutage:
             "--out", str(tmp_path / "y.csv")], capsys)
         assert code == 2
         assert "UNCONVERGED" in stdout
+
+    def test_overflowing_snr_exits_1_without_traceback(self, tmp_path):
+        # from about 1,540 dB the squares in the MMSE elimination overflow
+        proc = run_module([
+            "outage", "--rate", "3", "--snr-start", "3000", "--snr-stop", "3010",
+            "--snr-step", "5", "--max-trials", "1000",
+            "--out", str(tmp_path / "x.csv")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: elimination hit a nonpositive or non-finite pivot" in \
+            proc.stderr
 
     def test_worker_count_leaves_csv_bit_identical(self, tmp_path, capsys):
         args = ["outage", "--M", "2", "--N", "2", "--L", "2", "--K", "8",
@@ -324,12 +344,7 @@ class TestModuleEntry:
         (["predict"], 1, "a target rate is required"),
     ], ids=["rate", "no-rate"])
     def test_python_m_runs_the_cli(self, args, code, text):
-        src = os.path.dirname(os.path.dirname(mmsediv.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "mmsediv.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
+        proc = run_module(args)
         assert proc.returncode == code
         assert text in (proc.stdout if code == 0 else proc.stderr)
 

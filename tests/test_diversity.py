@@ -10,7 +10,6 @@ from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      SystemConfig, TrialPolicy, derive_stream,
                      estimate_binomial_curve, estimate_outage,
                      fit_diversity_slope, resolve_rate_regime,
-                     resolve_rate_regime_flat, resolve_rate_regime_selective,
                      wilson_interval)
 from mmsediv import mmse, montecarlo
 from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
@@ -25,22 +24,26 @@ def make_curve(rhos, ps, trials=10 ** 6, converged=True, scenario="synthetic"):
     return BinomialCurve(scenario=scenario, points=points, master_seed=0)
 
 
+def resolve(M, N, R, L=1, K=1):
+    return resolve_rate_regime(SystemConfig(M=M, N=N, R=R, L=L, K=K))
+
+
 class TestFlatRegimes:
     def test_high_rate_regime(self):
-        regime = resolve_rate_regime_flat(2, 2, 3.0)
+        regime = resolve(2, 2, 3.0)
         assert regime.m == 1 and regime.tight
         assert regime.diversity_high == 1
         assert regime.rate_interval == (1.0, math.inf)
 
     def test_full_diversity_regime(self):
-        regime = resolve_rate_regime_flat(2, 2, 1.2)
+        regime = resolve(2, 2, 1.2)
         assert regime.m == 2 and regime.tight
         assert regime.diversity_high == 4
         assert regime.rate_interval == (0.0, 1.0)
 
     def test_single_stream_any_rate(self):
         for rate in (0.1, 1.0, 17.3):
-            regime = resolve_rate_regime_flat(1, 3, rate)
+            regime = resolve(1, 3, rate)
             assert regime.m == 1
             assert regime.diversity_high == 3
             assert regime.rate_interval == (0.0, math.inf)
@@ -54,7 +57,7 @@ class TestFlatRegimes:
             low = math.log2(m_streams / m)
             high = math.log2(m_streams / (m - 1)) if m > 1 else low + 2.0
             x = 0.5 * (low + high)
-            regime = resolve_rate_regime_flat(m_streams, n_rx, x * m_streams)
+            regime = resolve(m_streams, n_rx, x * m_streams)
             assert regime.m == m
             assert regime.tight
             assert regime.diversity_low == regime.diversity_high == m * (n_rx - m_streams + m)
@@ -64,7 +67,7 @@ class TestFlatRegimes:
         for m in range(1, m_streams):
             rate = m_streams * math.log2(m_streams / m)
             with pytest.raises(BoundaryRateError) as err:
-                resolve_rate_regime_flat(m_streams, m_streams, rate)
+                resolve(m_streams, m_streams, rate)
             assert f"m={m}" in str(err.value) and f"m={m + 1}" in str(err.value)
 
     def test_diversity_nonincreasing_in_rate(self):
@@ -73,7 +76,7 @@ class TestFlatRegimes:
         last = math.inf
         for rate in rates:
             try:
-                regime = resolve_rate_regime_flat(m_streams, n_rx, float(rate))
+                regime = resolve(m_streams, n_rx, float(rate))
             except BoundaryRateError:
                 continue
             assert regime.diversity_high <= last
@@ -81,22 +84,16 @@ class TestFlatRegimes:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
-            resolve_rate_regime_flat(2, 1, 1.0)
+            resolve(2, 1, 1.0)
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            resolve(2, 2, 0.0)
         with pytest.raises(ConfigurationError):
-            resolve_rate_regime_flat(2, 2, 0.0)
-        with pytest.raises(ConfigurationError):
-            resolve_rate_regime_flat(2, 2, -0.3)
-
-    @pytest.mark.parametrize("dims", [(2, 2.5), (2.0, 2), (2.5, 3)],
-                             ids=["N", "integral-float-M", "M"])
-    def test_rejects_non_integer_dims(self, dims):
-        with pytest.raises(ConfigurationError, match="must be an integer"):
-            resolve_rate_regime_flat(*dims, 1.2)
+            resolve(2, 2, -0.3)
 
 
 class TestSelectiveRegimes:
     def test_reference_scenario(self):
-        regime = resolve_rate_regime_selective(2, 2, 2, 64, 3.0)
+        regime = resolve(2, 2, 3.0, L=2, K=64)
         assert regime.m == 1 and regime.tight
         assert regime.diversity_high == 3  # L*N - M + 1
 
@@ -105,7 +102,7 @@ class TestSelectiveRegimes:
         # -log2((m-1)/M + (L-1)(M-(m-1))/K) with m=2, M=2, L=2, K=64
         bound = -math.log2(1 / 2 + (1 * 1) / 64)
         assert abs(bound - 0.9556058806415466) <= 1e-12
-        regime = resolve_rate_regime_selective(2, 2, 2, 64, 1.2)
+        regime = resolve(2, 2, 1.2, L=2, K=64)
         assert 0.6 < bound
         assert regime.m == 2 and regime.tight
         assert regime.diversity_high == 2 * (2 * 2 - 2 + 2)
@@ -113,12 +110,12 @@ class TestSelectiveRegimes:
 
     def test_applicability_refused(self):
         with pytest.raises(ApplicabilityError) as err:
-            resolve_rate_regime_selective(2, 2, 2, 4, 3.0)
+            resolve(2, 2, 3.0, L=2, K=4)
         assert "K > M^2(L-1)" in str(err.value)
 
     def test_gap_region_reports_bracket(self):
         # M=2, L=2, K=8: tight bound for m=1 is -log2(2/8) = 2
-        regime = resolve_rate_regime_selective(2, 2, 2, 8, 2 * 3.0)
+        regime = resolve(2, 2, 2 * 3.0, L=2, K=8)
         assert regime.m == 1
         assert not regime.tight
         assert regime.diversity_high == 1 * (2 * 2 - 2 + 1)
@@ -128,7 +125,7 @@ class TestSelectiveRegimes:
     def test_gap_region_m2(self):
         # M=2, L=2, K=16: m=2 tight bound is -log2(1/2 + 1/16)
         bound = -math.log2(0.5 + 1 / 16)
-        regime = resolve_rate_regime_selective(2, 2, 2, 16, 2 * 0.9)
+        regime = resolve(2, 2, 2 * 0.9, L=2, K=16)
         assert 0.9 > bound
         assert regime.m == 2 and not regime.tight
         assert regime.diversity_high == 2 * (4 - 2 + 2)
@@ -136,13 +133,14 @@ class TestSelectiveRegimes:
 
     def test_gap_boundary_is_inclusive(self):
         bound = -math.log2(0.5 + 1 / 16)
-        regime = resolve_rate_regime_selective(2, 2, 2, 16, 2 * bound)
+        regime = resolve(2, 2, 2 * bound, L=2, K=16)
         assert not regime.tight
 
     def test_single_tap_matches_flat(self):
-        # rates one ulp below every regime edge, in R/M and in R: the L = 1
-        # tight interval must end at log2(M/(m-1)) itself, not at
-        # -log2((m-1)/M), which can lie one ulp lower
+        # at L = 1 the block length K changes nothing, also at rates one ulp
+        # below every regime edge, in R/M and in R; there the tight interval
+        # must end at log2(M/(m-1)) itself, not at -log2((m-1)/M), which can
+        # lie one ulp lower
         for m_streams in range(1, 9):
             edges = [math.log2(m_streams / j) for j in range(1, m_streams)]
             rates = list(np.linspace(0.05, m_streams * math.log2(m_streams) + 0.8, 41))
@@ -152,12 +150,12 @@ class TestSelectiveRegimes:
                             (m_streams + 2, 64)]:
                 for rate in map(float, rates):
                     try:
-                        flat = resolve_rate_regime_flat(m_streams, n_rx, rate)
+                        flat = resolve(m_streams, n_rx, rate)
                     except BoundaryRateError:
                         with pytest.raises(BoundaryRateError):
-                            resolve_rate_regime_selective(m_streams, n_rx, 1, k, rate)
+                            resolve(m_streams, n_rx, rate, L=1, K=k)
                         continue
-                    sel = resolve_rate_regime_selective(m_streams, n_rx, 1, k, rate)
+                    sel = resolve(m_streams, n_rx, rate, L=1, K=k)
                     assert sel == flat
                     assert sel.tight
                     assert sel.diversity_high == sel.m * (n_rx - m_streams + sel.m)
@@ -165,16 +163,9 @@ class TestSelectiveRegimes:
                              else math.inf)
                     assert sel.rate_interval == (math.log2(m_streams / sel.m), upper)
 
-    @pytest.mark.parametrize("args", [(2.5, 2, 2, 64), (2, 2.0, 2, 64),
-                                      (2, 2, 1.5, 64), (2, 2, 2, 64.5)],
-                             ids=["M", "N", "L", "K"])
-    def test_rejects_non_integer_dims(self, args):
-        with pytest.raises(ConfigurationError, match="must be an integer"):
-            resolve_rate_regime_selective(*args, 3.0)
-
     def test_boundary_rates_refused(self):
         with pytest.raises(BoundaryRateError):
-            resolve_rate_regime_selective(2, 2, 2, 64, 2.0)
+            resolve(2, 2, 2.0, L=2, K=64)
 
     def test_diversity_nonincreasing_in_rate(self):
         m_streams, n_rx, taps, k = 3, 3, 2, 32
@@ -182,8 +173,7 @@ class TestSelectiveRegimes:
         last = math.inf
         for rate in rates:
             try:
-                regime = resolve_rate_regime_selective(m_streams, n_rx, taps, k,
-                                                       float(rate))
+                regime = resolve(m_streams, n_rx, float(rate), L=taps, K=k)
             except BoundaryRateError:
                 continue
             assert regime.diversity_high <= last
@@ -201,11 +191,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(M=2, N=2, R=1.0, scaling="nope")
 
-    @pytest.mark.parametrize("field", ["M", "N", "L", "K"])
-    def test_rejects_non_integer_dimensions(self, field):
+    @pytest.mark.parametrize("field, value", [("M", 2.5), ("N", 3.5), ("L", 2.5),
+                                              ("K", 8.5), ("M", 2.0)],
+                             ids=["M", "N", "L", "K", "integral-float-M"])
+    def test_rejects_non_integer_dimensions(self, field, value):
         dims = dict(M=2, N=3, L=2, K=8)
-        with pytest.raises(ConfigurationError, match=field):
-            SystemConfig(R=3.0, **{**dims, field: dims[field] + 0.5})
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            SystemConfig(R=3.0, **{**dims, field: value})
 
     def test_accepts_numpy_integers(self):
         cfg = SystemConfig(M=np.int64(2), N=np.int32(2), R=3.0, L=np.int64(2),

@@ -204,6 +204,17 @@ class TestBatchPaths:
                            for t in taps])
         assert np.max(np.abs(batch - scalar)) <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n_taps, n_bins", [(1, 1), (2, 8)],
+                             ids=["flat", "selective"])
+    def test_rejects_nonfinite_taps(self, n_taps, n_bins, bad):
+        # the bad realization is the last one, in the second capacity chunk
+        taps = sample_complex_gaussian(2, 2, rng_for(33), size=(12_000, n_taps))
+        taps[-1, -1, 0, 0] = bad
+        with pytest.raises(ValueError, match="channel taps contains non-finite"):
+            selective_capacity_batch(taps, 5.0, n_bins)
+
     def test_transfer_function_is_direct_dft(self):
         taps = sample_complex_gaussian(2, 3, rng_for(32), size=4)
         bins = 8
