@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from . import mmse
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          _require_integers)
-from .montecarlo import estimate_binomial_curve
+from .montecarlo import TrialPolicy, estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
 __all__ = [
@@ -186,6 +187,26 @@ def _count_below(statistic, threshold, dims, rho, rng, n_trials):
     return int(np.count_nonzero(statistic(taps, rho) < threshold))
 
 
+_BLOCK_DRAW_BYTES = 256 * 2**20
+
+
+def _warn_block_draw(policy, dims):
+    """Warn when one block's draw of ``dims = (N, M, L)`` taps is too large.
+
+    `_count_below` draws all taps of a block at once, ``min(block_trials,
+    max_trials) L N M`` complex values of 16 bytes; above
+    `_BLOCK_DRAW_BYTES` a `ResourceWarning` names the size.
+    """
+    policy = TrialPolicy() if policy is None else policy
+    N, M, L = dims
+    size = min(policy.block_trials, policy.max_trials) * L * N * M * 16
+    if size > _BLOCK_DRAW_BYTES:
+        warnings.warn(
+            f"each block draws {size:,} bytes of channel taps at once; "
+            "a smaller block_trials bounds that memory", ResourceWarning,
+            stacklevel=3)
+
+
 def _capacity(taps, rho, cfg):
     """The outage statistic; `mmse` is looked up at call time, not bound."""
     return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
@@ -202,8 +223,10 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
+    dims = (cfg.N, cfg.M, cfg.L)
+    _warn_block_draw(policy, dims)
     kernel = functools.partial(_count_below, functools.partial(_capacity, cfg=cfg),
-                               cfg.R, (cfg.N, cfg.M, cfg.L))
+                               cfg.R, dims)
     return estimate_binomial_curve(kernel, 10.0 ** (snr_db / 10.0),
                                    policy=policy, master_seed=master_seed,
                                    workers=workers, scenario=cfg.label(),

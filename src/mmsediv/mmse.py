@@ -148,7 +148,8 @@ def _inverse_diagonal(diag, upper):
     im = dict(zip(pairs, upper[len(pairs):]))
     piv, schur = list(diag), {}
     for j in range(m):
-        if not np.all(piv[j] > 0.0):
+        # two reductions refuse NaN, +inf and nonpositive pivots; skipped when empty
+        if piv[j].size and not (piv[j].min() > 0.0 and piv[j].max() < np.inf):
             raise NumericalError("elimination hit a nonpositive or non-finite pivot")
         for i in range(j + 1, m):
             schur[j, i] = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
@@ -293,6 +294,7 @@ def _capacity_chunk_size(tap_shape, n_bins):
     return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_trial))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     """Per-stream MMSE MSE of (..., L, N, M) tap stacks, averaged over K bins.
 
@@ -301,6 +303,9 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     ``G_jj``, then Re and then Im of each ``G_jk``, j < k.  There is no
     flat route: L = 1 is the one-bin case, as every bin holds
     ``R_0 = H^H H``, and its basis ``[[1.0]]`` makes the product exact.
+
+    Floating-point warnings are silenced: every entry feeds some pivot's
+    Schur term, so an overflow or NaN anywhere ends in a refused pivot.
     """
     *lead, n_taps, n_rx, m = taps.shape
     n_bins = _check_block_length(n_taps, n_bins)

@@ -2,23 +2,28 @@
 
 Trials are organized in fixed-size blocks.  Block ``i`` of grid point ``g``
 draws all of its randomness from a generator keyed by
-``(master_seed, g, i)``, and blocks are always consumed in index order, so
-the estimate is bit-reproducible for any worker count and any scheduling.
-A grid point stops after the first block in which the cumulative event
-count reaches the target (or when the trial budget is exhausted) and
-reports a Wilson 95% confidence interval.  Each block also returns the
-`mmse` numerical-health counters it produced; only consumed blocks are
-merged into the calling process's counters.
+``(master_seed, g, i)``, and each point consumes its blocks in index order,
+so the estimate is bit-reproducible for any worker count and any
+scheduling.  A grid point stops after the first block in which the
+cumulative event count reaches the target (or when the trial budget is
+exhausted) and reports a Wilson 95% confidence interval.
+
+One scheduler runs the whole grid with at most ``workers`` blocks in
+flight.  A free worker takes a sure block if there is one: the next block
+of the lowest unfinished point with none in flight, which that point needs
+whatever its earlier blocks return.  Otherwise it takes the next block of
+the lowest unfinished point speculatively; blocks past a point's stopping
+block are dropped, errors included.  Each block also returns the `mmse`
+numerical-health counters it produced; only consumed blocks are merged
+into the calling process's counters.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,35 +144,70 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     return int(events), health
 
 
-def _estimate_point(kernel, rho, snr_db, point_index, policy, master_seed,
-                    map_blocks, wave_size):
-    run_block = functools.partial(_block_events, kernel, rho, master_seed,
-                                  point_index)
-    # block i holds min(block_trials, max_trials - i * block_trials) trials;
-    # sizes are computed per wave, so no schedule of every block is built
-    size = policy.block_trials
-    n_blocks = -(-policy.max_trials // size)
-    trials = 0
-    events = 0
-    first = 0
-    while trials < policy.max_trials and events < policy.target_events:
-        wave = range(first, min(first + wave_size, n_blocks))
-        sizes = [min(size, policy.max_trials - i * size) for i in wave]
-        results = list(map_blocks(run_block, wave, sizes))
-        # consume strictly in block order; speculative blocks past the
-        # stopping block are discarded, so worker count cannot matter
-        for n, (count, health) in zip(sizes, results):
-            trials += n
-            events += count
-            mmse.merge_health(health)
-            if events >= policy.target_events or trials >= policy.max_trials:
-                break
-        first += wave_size
-    p_out = events / trials
-    ci_low, ci_high = wilson_interval(events, trials)
-    return CurvePoint(rho=float(rho), snr_db=float(snr_db), trials=trials,
-                      outages=events, p_out=p_out, ci_low=ci_low,
-                      ci_high=ci_high, converged=events >= policy.target_events)
+@dataclass(eq=False)
+class _PointRun:
+    """Counts of one grid point; its blocks ``consumed .. launched - 1`` are
+    in flight or done ahead of an earlier block, in ``results``."""
+
+    index: int
+    launched: int = 0
+    consumed: int = 0
+    events: int = 0
+    results: dict = field(default_factory=dict)
+
+
+def _next_run(open_runs, n_blocks):
+    """Point of the next block to launch, sure before speculative; or None."""
+    idle = (run for run in open_runs if run.launched == run.consumed)
+    spare = (run for run in open_runs if run.launched < n_blocks)
+    return next(idle, None) or next(spare, None)
+
+
+def _run_inline(fn, *args):
+    """``fn(*args)`` as a finished future.  With one worker every block is
+    sure, so its error may propagate at once."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
+    """Points of the whole grid, with at most ``n_workers`` blocks in flight.
+
+    ``open_runs`` holds the started unfinished points in index order and,
+    last, the next point to start.
+    """
+    size, cap, target = policy.block_trials, policy.max_trials, policy.target_events
+    n_blocks = -(-cap // size)
+    points = [None] * rho.size
+    open_runs, in_flight = [_PointRun(0)], {}
+    while open_runs:
+        while len(in_flight) < n_workers and (run := _next_run(open_runs, n_blocks)):
+            g, i = run.index, run.launched
+            run.launched += 1
+            if i == 0 and g + 1 < rho.size:
+                open_runs.append(_PointRun(g + 1))
+            # block i holds min(block_trials, max_trials - i * block_trials) trials
+            future = submit(_block_events, kernel, rho[g], master_seed, g, i,
+                            min(size, cap - i * size))
+            in_flight[future] = run, i
+        finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+        for future in finished:
+            run, i = in_flight.pop(future)
+            run.results[i] = future
+            # consume strictly in block order, so worker count cannot matter;
+            # results past the stopping block are dropped, errors included
+            while run in open_runs and run.consumed in run.results:
+                count, health = run.results.pop(run.consumed).result()
+                run.consumed += 1
+                run.events += count
+                mmse.merge_health(health)
+                if run.events >= target or run.consumed == n_blocks:
+                    open_runs.remove(run)
+                    g, n, k = run.index, min(cap, run.consumed * size), run.events
+                    points[g] = CurvePoint(float(rho[g]), float(snr_db[g]), n, k, k / n,
+                                           *wilson_interval(k, n), converged=k >= target)
+    return points
 
 
 def resolve_workers(workers):
@@ -197,7 +237,10 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         Non-negative root of all per-block streams; echoed on the returned
         curve.
     workers : int or "auto"
-        Number of processes; the result is identical for every value.
+        Number of processes; the result is identical for every value.  Up
+        to ``workers`` blocks of the whole grid run at once, sure blocks
+        before speculative ones (module docstring); one worker runs every
+        block inline, in the calling process.
     scenario : str
         Label stored with the curve (and written to CSV exports).
     snr_db_grid : optional matching grid in dB; derived from rho if omitted.
@@ -220,10 +263,12 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         if snr_db.shape != rho.shape:
             raise ConfigurationError("snr_db grid must match the rho grid")
     n_workers = resolve_workers(workers)
-    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
-          else contextlib.nullcontext()) as pool:
-        map_blocks = map if pool is None else pool.map
-        points = [_estimate_point(kernel, rho[g], snr_db[g], g, policy,
-                                  master_seed, map_blocks, n_workers)
-                  for g in range(rho.size)]
+    # one worker runs every block inline: no pool starts, nothing is pickled
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    try:
+        points = _sweep(kernel, rho, snr_db, policy, master_seed,
+                        pool.submit if pool else _run_inline, n_workers)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)  # waits for running blocks only
     return BinomialCurve(scenario=scenario, points=points, master_seed=master_seed)

@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diversity import _count_below
+from .diversity import _count_below, _warn_block_draw
 from .exceptions import ConfigurationError, NumericalError, _require_integers
 from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
@@ -151,9 +151,11 @@ def _tail_curve(kind, statistic, M, N, m, b, rho_grid, policy, master_seed, work
         raise ConfigurationError(f"need 1 <= m <= M, got m={m}, M={M}")
     if not (np.isfinite(b) and b > 0.0):
         raise ConfigurationError(f"threshold b must be positive and finite, got {b}")
+    dims = (int(N), int(M), 1)
+    _warn_block_draw(policy, dims)
     kernel = functools.partial(_count_below,
                                functools.partial(statistic, m=int(m)),
-                               float(b), (int(N), int(M), 1))
+                               float(b), dims)
     return estimate_binomial_curve(kernel, rho_grid, policy=policy,
                                    master_seed=master_seed, workers=workers,
                                    scenario=f"wishart-{kind}-M{M}-N{N}-m{m}-b{b:g}")

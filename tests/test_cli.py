@@ -139,6 +139,7 @@ class TestOutage:
         assert "Traceback" not in proc.stderr
         assert "error: elimination hit a nonpositive or non-finite pivot" in \
             proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_worker_count_leaves_csv_bit_identical(self, tmp_path, capsys):
         args = ["outage", "--M", "2", "--N", "2", "--L", "2", "--K", "8",

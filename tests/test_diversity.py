@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      estimate_binomial_curve, estimate_outage,
                      fit_diversity_slope, resolve_rate_regime,
                      wilson_interval)
-from mmsediv import mmse, montecarlo
+from mmsediv import diversity, mmse, montecarlo, wishart
 from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
 
 
@@ -352,6 +354,28 @@ class TestEstimateOutage:
                                 "block_trials=20000)")
 
 
+class TestBlockDrawWarning:
+    def test_warns_above_the_byte_budget_only(self):
+        # 100,000 trials of 4 taps, 8 x 8 each: 409.6 MB per block
+        with pytest.warns(ResourceWarning, match="409,600,000 bytes"):
+            diversity._warn_block_draw(None, (8, 8, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diversity._warn_block_draw(TrialPolicy(block_trials=20_000), (8, 8, 4))
+            diversity._warn_block_draw(TrialPolicy(max_trials=20_000), (8, 8, 4))
+
+    @pytest.mark.parametrize("module, estimate", [
+        (diversity, lambda: estimate_outage(SystemConfig(M=8, N=8, R=1.0, L=4, K=256),
+                                            [0.0])),
+        (wishart, lambda: tail_sum_probability(8, 24, 1, 1.0, [1.0])),
+    ], ids=["outage", "wishart-tail"])
+    def test_estimators_warn_before_sampling(self, monkeypatch, module, estimate):
+        monkeypatch.setattr(module, "estimate_binomial_curve",
+                            lambda *args, **kwargs: None)
+        with pytest.warns(ResourceWarning, match="smaller block_trials"):
+            estimate()
+
+
 def _clamping_kernel(rho, rng, n_trials):
     """Every trial is an event; each block clamps one SINR beyond the slack."""
     mmse._sinrs_from_mse(np.array([1.0 + 1e-9, 0.5]))
@@ -415,6 +439,64 @@ class TestBlockSchedule:
             tracemalloc.stop()
         assert curve.points[0].trials == policy.block_trials
         assert peak < 2**20
+
+
+def _later_blocks_raise_kernel(rho, rng, n_trials):
+    """Meets any target in block 0; every later block raises."""
+    if rng.bit_generator.seed_seq.spawn_key[1] > 0:
+        raise RuntimeError("a block past the stopping block ran")
+    return n_trials
+
+
+def _rising_rate_kernel(rho, rng, n_trials):
+    """Event rate 1e-3, 1e-2, 1e-1 at rho = 1, 2, 3: the first point caps."""
+    return int(np.count_nonzero(rng.random(n_trials) < 10.0 ** (rho - 4.0)))
+
+
+class TestSweepScheduler:
+    def test_discarded_block_errors_are_dropped(self):
+        # with two workers block 1 runs speculatively and raises
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        curves = [estimate_binomial_curve(_later_blocks_raise_kernel, [1.0],
+                                          policy=policy, workers=workers)
+                  for workers in (1, 2)]
+        assert curves[0].points == curves[1].points
+        assert curves[0].points[0].trials == 10
+
+    def test_points_finishing_out_of_order_keep_their_counts(self):
+        # point 0 runs to its cap while points 1 and 2 converge beside it
+        policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
+        curves = [estimate_binomial_curve(_rising_rate_kernel, [1.0, 2.0, 3.0],
+                                          policy=policy, master_seed=11,
+                                          workers=workers)
+                  for workers in (1, 2, 3)]
+        assert [pt.converged for pt in curves[0].points] == [False, True, True]
+        assert curves[0].points[0].trials == policy.max_trials
+        assert curves[0].points == curves[1].points == curves[2].points
+
+    def test_sure_block_beats_speculative(self):
+        run = montecarlo._PointRun
+        busy = run(0, launched=2, consumed=1)    # block 1 in flight
+        idle = run(1, launched=1, consumed=1)    # needs block 1
+        full = run(0, launched=4, consumed=2)    # every block launched
+        assert montecarlo._next_run([busy, idle], n_blocks=4) is idle
+        assert montecarlo._next_run([busy], n_blocks=4) is busy
+        assert montecarlo._next_run([full, busy], n_blocks=4) is busy
+        assert montecarlo._next_run([full], n_blocks=4) is None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_never_more_than_workers_blocks_in_flight(self, monkeypatch, workers):
+        in_flight = []
+
+        def counting_wait(futures, **kwargs):
+            in_flight.append(len(futures))
+            return concurrent.futures.wait(futures, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "wait", counting_wait)
+        policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
+        estimate_binomial_curve(_rising_rate_kernel, [1.0, 2.0, 3.0],
+                                policy=policy, workers=workers)
+        assert max(in_flight) == workers
 
 
 class TestSweepNumericalHealth:

@@ -215,6 +215,13 @@ class TestBatchPaths:
         with pytest.raises(ValueError, match="channel taps contains non-finite"):
             selective_capacity_batch(taps, 5.0, n_bins)
 
+    @pytest.mark.parametrize("call", [selective_sinrs, selective_capacity_batch],
+                             ids=["sinrs", "capacity"])
+    def test_infinite_pivot_raises(self, call):
+        # |1e160|^2 overflows to +inf, a pivot that `> 0` alone would accept
+        with pytest.raises(NumericalError, match="non-finite pivot"):
+            call(np.array([[[1e160 + 0j]]]), 1e10, 1)
+
     def test_transfer_function_is_direct_dft(self):
         taps = sample_complex_gaussian(2, 3, rng_for(32), size=4)
         bins = 8

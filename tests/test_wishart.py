@@ -268,7 +268,7 @@ class TestTailCurves:
     @pytest.mark.parametrize("estimator", [tail_sum_probability,
                                            smallest_eigs_probability])
     def test_worker_count_invariance(self, estimator):
-        # targets reached mid-wave, so the two-worker run discards blocks
+        # two workers run blocks of different points side by side
         policy = TrialPolicy(max_trials=40_000, target_events=50,
                              block_trials=3_000)
         rho_grid = [50.0, 500.0, 5000.0]
