@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from . import mmse
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          _require_integers)
-from .montecarlo import TrialPolicy, estimate_binomial_curve
+from .montecarlo import estimate_binomial_curve
 from .randmat import sample_complex_gaussian
 
 __all__ = [
@@ -175,36 +174,26 @@ def resolve_rate_regime(cfg):
                       diversity_low=d_low, diversity_high=d_high, tight=False)
 
 
-def _count_below(statistic, threshold, dims, rho, rng, n_trials):
-    """Number of trials whose ``statistic(taps, rho)`` is below ``threshold``.
-
-    A trial is L standard complex Gaussian N x M taps, ``dims = (N, M, L)``.
-    Every library kernel is a `functools.partial` of this function, so
-    kernels pickle for ``workers > 1``; each statistic bounds its memory.
-    """
-    N, M, L = dims
-    taps = sample_complex_gaussian(N, M, rng, size=(n_trials, L))
-    return int(np.count_nonzero(statistic(taps, rho) < threshold))
-
-
 _BLOCK_DRAW_BYTES = 256 * 2**20
 
 
-def _warn_block_draw(policy, dims):
-    """Warn when one block's draw of ``dims = (N, M, L)`` taps is too large.
+def _count_below(statistic, threshold, dims, rho, rng, n_trials):
+    """Number of trials whose ``statistic(taps, rho) < threshold``.
 
-    `_count_below` draws all taps of a block at once, ``min(block_trials,
-    max_trials) L N M`` complex values of 16 bytes; above
-    `_BLOCK_DRAW_BYTES` a `ResourceWarning` names the size.
+    A trial is L standard complex Gaussian N x M taps, ``dims = (N, M, L)``.
+    They are drawn from ``rng`` in turn, in slices of at most
+    `_BLOCK_DRAW_BYTES` of taps, so a block's memory is bounded; a block
+    within that budget is one draw and one statistic call.  Every library
+    kernel is a `functools.partial` of this function, so kernels pickle
+    for ``workers > 1``; each statistic bounds its own temporaries.
     """
-    policy = TrialPolicy() if policy is None else policy
     N, M, L = dims
-    size = min(policy.block_trials, policy.max_trials) * L * N * M * 16
-    if size > _BLOCK_DRAW_BYTES:
-        warnings.warn(
-            f"each block draws {size:,} bytes of channel taps at once; "
-            "a smaller block_trials bounds that memory", ResourceWarning,
-            stacklevel=3)
+    step = max(1, _BLOCK_DRAW_BYTES // (16 * L * N * M))
+    count = 0
+    for lo in range(0, n_trials, step):
+        taps = sample_complex_gaussian(N, M, rng, size=(min(step, n_trials - lo), L))
+        count += int(np.count_nonzero(statistic(taps, rho) < threshold))
+    return count
 
 
 def _capacity(taps, rho, cfg):
@@ -218,15 +207,14 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     Each grid point draws independent channel realizations (one Gaussian
     N x M matrix when flat, L tap matrices when selective), computes the
     MMSE capacity and counts outage events until the policy's event target
-    or trial budget is hit.  Given (cfg, grid, policy, master_seed) the
-    returned curve is bit-identical for any worker count.  The grid is
-    checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
+    or trial budget is hit; a block draws its channels in slices of at most
+    `_BLOCK_DRAW_BYTES` of taps (`_count_below`).  Given (cfg, grid, policy,
+    master_seed) the returned curve is bit-identical for any worker count.
+    The grid is checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
-    dims = (cfg.N, cfg.M, cfg.L)
-    _warn_block_draw(policy, dims)
     kernel = functools.partial(_count_below, functools.partial(_capacity, cfg=cfg),
-                               cfg.R, dims)
+                               cfg.R, (cfg.N, cfg.M, cfg.L))
     return estimate_binomial_curve(kernel, 10.0 ** (snr_db / 10.0),
                                    policy=policy, master_seed=master_seed,
                                    workers=workers, scenario=cfg.label(),

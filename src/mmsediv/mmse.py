@@ -196,12 +196,25 @@ def _check_finite(arr, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def _check_block_length(n_taps, n_bins):
-    """Block length K as an int; it must be an integer of at least L."""
-    _require_integers(K=n_bins)
-    if n_bins < n_taps:
+def _single_taps(taps):
+    """Finite (L, N, M) taps as a complex array."""
+    taps = np.asarray(taps, dtype=complex)
+    if taps.ndim != 3:
+        raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
+    _check_finite(taps, "channel taps")
+    return taps
+
+
+def _check_block_length(tap_shape, n_bins):
+    """Block length K as an int, at least L, for (..., L, N, M) taps with
+    L, N, M >= 1 (an empty leading stack passes)."""
+    if len(tap_shape) < 3 or 0 in tap_shape[-3:]:
         raise ConfigurationError(
-            f"block length K={n_bins} must be at least the tap count L={n_taps}")
+            f"taps need shape (..., L, N, M) with L, N, M >= 1, got {tap_shape}")
+    _require_integers(K=n_bins)
+    if n_bins < tap_shape[-3]:
+        raise ConfigurationError(f"block length K={n_bins} must be at least "
+                                 f"the tap count L={tap_shape[-3]}")
     return int(n_bins)
 
 
@@ -216,8 +229,8 @@ def transfer_function(taps, n_bins):
     reference that per-bin checks of that path are built from.
     """
     taps = np.asarray(taps, dtype=complex)
+    n_bins = _check_block_length(taps.shape, n_bins)
     n_taps = taps.shape[-3]
-    n_bins = _check_block_length(n_taps, n_bins)
     grid = np.outer(np.arange(n_taps), np.arange(n_bins))
     twiddle = np.exp(-2j * np.pi * grid / n_bins)
     lead = taps.shape[:-3]
@@ -307,8 +320,8 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     Floating-point warnings are silenced: every entry feeds some pivot's
     Schur term, so an overflow or NaN anywhere ends in a refused pivot.
     """
+    n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
-    n_bins = _check_block_length(n_taps, n_bins)
     c = noise_scaling(rho, m, n_taps, scaling)
     bins = n_bins if n_taps > 1 else 1
     # realizations last, as `_tap_autocorrelation` expects
@@ -344,10 +357,7 @@ def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
     -------
     (M,) float array of nonnegative SINRs: beta_j = 1 / mean_k mse_j(k) - 1.
     """
-    taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 3:
-        raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
-    _check_finite(taps, "channel taps")
+    taps = _single_taps(taps)
     return _sinrs_from_mse(_mse(taps, rho, n_bins, scaling))
 
 
@@ -363,10 +373,10 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     elimination of their chunk has failed.
     """
     taps = np.asarray(taps, dtype=complex)
+    n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
+    chunk = _capacity_chunk_size((n_taps, n_rx, m), n_bins)
     stack = taps.reshape(-1, n_taps, n_rx, m)
-    chunk = _capacity_chunk_size((n_taps, n_rx, m),
-                                 _check_block_length(n_taps, n_bins))
     cap = np.empty(len(stack))
     # at least one call, so that an empty stack has its arguments checked too
     for lo in range(0, max(len(stack), 1), chunk):
@@ -392,12 +402,9 @@ def selective_sinrs_oracle(taps, rho, n_bins, scaling="per-tap"):
     time slots of each stream.  Cost is O((K*M)^3); inputs are capped at
     K*M <= 512.
     """
-    taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 3:
-        raise ValueError(f"expected taps of shape (L, N, M), got {taps.shape}")
-    _check_finite(taps, "channel taps")
+    taps = _single_taps(taps)
+    n_bins = _check_block_length(taps.shape, n_bins)
     n_taps, n_rx, n_tx = taps.shape
-    n_bins = _check_block_length(n_taps, n_bins)
     if n_bins * n_tx > ORACLE_SIZE_CAP:
         raise ConfigurationError(
             f"oracle size cap exceeded: K*M = {n_bins * n_tx} > {ORACLE_SIZE_CAP}")

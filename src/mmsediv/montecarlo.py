@@ -73,7 +73,8 @@ class TrialPolicy:
     A point runs until ``target_events`` events were observed or
     ``max_trials`` is reached.  Stopping is evaluated at block boundaries;
     changing ``block_trials`` therefore changes the exact trial counts (but
-    not the correctness or the determinism of the estimate).
+    not the correctness or the determinism of the estimate).  Drawing a
+    block in slices, as `diversity._count_below` does, moves no stopping.
     """
 
     max_trials: int = 10_000_000

@@ -48,9 +48,11 @@ def derive_stream(master_seed, *key):
 
 
 def _complex_gaussian(shape, rng):
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(0.5)
+    """CN(0, 1) array, real parts drawn first, peaking at 1.5 outputs."""
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):
+        np.multiply(rng.standard_normal(shape), np.sqrt(0.5), out=part)
+    return z
 
 
 def sample_complex_gaussian(rows, cols, rng, size=None):

@@ -1,7 +1,6 @@
 import concurrent.futures
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      SystemConfig, TrialPolicy, derive_stream,
                      estimate_binomial_curve, estimate_outage,
                      fit_diversity_slope, resolve_rate_regime,
-                     wilson_interval)
+                     sample_complex_gaussian, wilson_interval)
 from mmsediv import diversity, mmse, montecarlo, wishart
 from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
 
@@ -354,26 +353,56 @@ class TestEstimateOutage:
                                 "block_trials=20000)")
 
 
-class TestBlockDrawWarning:
-    def test_warns_above_the_byte_budget_only(self):
-        # 100,000 trials of 4 taps, 8 x 8 each: 409.6 MB per block
-        with pytest.warns(ResourceWarning, match="409,600,000 bytes"):
-            diversity._warn_block_draw(None, (8, 8, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            diversity._warn_block_draw(TrialPolicy(block_trials=20_000), (8, 8, 4))
-            diversity._warn_block_draw(TrialPolicy(max_trials=20_000), (8, 8, 4))
+def _sliced_kernel(monkeypatch, kind, budget_trials):
+    """A library kernel whose draw budget holds ``budget_trials`` trials, and
+    ``count(rng, n)``, its events on one draw of n trials from ``rng``.
 
-    @pytest.mark.parametrize("module, estimate", [
-        (diversity, lambda: estimate_outage(SystemConfig(M=8, N=8, R=1.0, L=4, K=256),
-                                            [0.0])),
-        (wishart, lambda: tail_sum_probability(8, 24, 1, 1.0, [1.0])),
-    ], ids=["outage", "wishart-tail"])
-    def test_estimators_warn_before_sampling(self, monkeypatch, module, estimate):
-        monkeypatch.setattr(module, "estimate_binomial_curve",
-                            lambda *args, **kwargs: None)
-        with pytest.warns(ResourceWarning, match="smaller block_trials"):
-            estimate()
+    At rho = 10 about half the trials of the outage and tail kernels are events.
+    """
+    module, estimate = {
+        "outage": (diversity, lambda: estimate_outage(
+            SystemConfig(M=2, N=2, R=4.0, L=2, K=8), [10.0])),
+        "flat": (diversity, lambda: estimate_outage(SystemConfig(M=2, N=2, R=1.2),
+                                                    [10.0])),
+        "tail": (wishart, lambda: tail_sum_probability(2, 3, 1, 10.0, [1.0])),
+    }[kind]
+    monkeypatch.setattr(module, "estimate_binomial_curve",
+                        lambda kernel, *args, **kwargs: kernel)
+    kernel = estimate()
+    statistic, threshold, (N, M, L) = kernel.args
+    monkeypatch.setattr(diversity, "_BLOCK_DRAW_BYTES", budget_trials * 16 * L * N * M)
+
+    def count(rng, n_trials):
+        taps = sample_complex_gaussian(N, M, rng, size=(n_trials, L))
+        return int(np.count_nonzero(statistic(taps, 10.0) < threshold))
+
+    return kernel, count
+
+
+class TestBlockDrawBound:
+    def test_block_above_the_budget_draws_in_slices(self, monkeypatch):
+        kernel, count = _sliced_kernel(monkeypatch, "outage", 1000)
+        twin = derive_stream(5, 0, 0)
+        sliced = sum(count(twin, n) for n in (1000, 1000, 500))
+        assert kernel(10.0, derive_stream(5, 0, 0), 2500) == sliced
+
+    @pytest.mark.parametrize("n_trials", [1000, 999])
+    @pytest.mark.parametrize("kind", ["outage", "tail"])
+    def test_block_within_the_budget_draws_once(self, monkeypatch, kind, n_trials):
+        kernel, count = _sliced_kernel(monkeypatch, kind, 1000)
+        assert (kernel(10.0, derive_stream(6, 1, 2), n_trials)
+                == count(derive_stream(6, 1, 2), n_trials))
+
+    def test_sliced_block_memory_follows_the_budget(self, monkeypatch):
+        # a 1 MiB budget: 200,000 flat 2 x 2 trials are 12.2 MiB of taps
+        kernel, _ = _sliced_kernel(monkeypatch, "flat", 2**20 // 64)
+        tracemalloc.start()
+        try:
+            kernel(10.0, derive_stream(0, 0, 0), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def _clamping_kernel(rho, rng, n_trials):

@@ -112,7 +112,7 @@ def test_capacity_call_memory_is_bounded():
     # 2048 trials of an 8x8, 4-tap link over 256 bins: the per-bin Gram
     # matrices alone would take 2048 * 256 * 64 * 16 B = 512 MiB at once
     (SystemConfig(M=8, N=8, L=4, K=256, R=20.0), 2048, 64),
-    # one flat 2x2 block: sampling peaks near 24 MiB; the capacity stage
+    # one flat 2x2 block: sampling peaks near 18 MiB; the capacity stage
     # holds 12 MiB of taps plus a chunk's temporaries, which lag chunks
     # sized for one Gram matrix per trial (65536 * 384 B) push past 30 MiB
     (SystemConfig(M=2, N=2, R=1.2), 200_000, 30),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,15 @@ class TestBatchPaths:
         # |1e160|^2 overflows to +inf, a pivot that `> 0` alone would accept
         with pytest.raises(NumericalError, match="non-finite pivot"):
             call(np.array([[[1e160 + 0j]]]), 1e10, 1)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)],
+                             ids=["L", "N", "M"])
+    @pytest.mark.parametrize("call", [selective_sinrs, selective_sinrs_oracle,
+                                      selective_capacity_batch],
+                             ids=["sinrs", "oracle", "capacity"])
+    def test_empty_tap_dimension_is_refused(self, call, shape):
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {shape}")):
+            call(np.zeros(shape, dtype=complex), 5.0, 2)
 
     def test_transfer_function_is_direct_dft(self):
         taps = sample_complex_gaussian(2, 3, rng_for(32), size=4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -65,6 +67,23 @@ class TestComplexGaussian:
     def test_rejects_non_integer_dimensions(self, args, size):
         with pytest.raises(ConfigurationError):
             sample_complex_gaussian(*args, rng_for(3), size=size)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 2, 4, 3), (0, 2, 2)])
+    def test_draw_matches_the_two_array_expression(self, shape):
+        rng = rng_for(4)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = (re + 1j * im) * np.sqrt(0.5)
+        draw = sample_complex_gaussian(*shape[-2:], rng_for(4), size=shape[:-2])
+        assert draw.tobytes() == expected.tobytes() and draw.shape == shape
+
+    def test_draw_peaks_at_one_and_a_half_outputs(self):
+        tracemalloc.start()
+        try:
+            draw = sample_complex_gaussian(2, 2, rng_for(5), size=(200_000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * draw.nbytes
 
     def test_numpy_integers_draw_the_same_stream(self):
         a = sample_complex_gaussian(3, 2, derive_stream(4, 0), size=(5, 2))

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from mmsediv import (ConfigurationError, FitWindow, TrialPolicy, derive_stream,
-                     fit_diversity_slope, log_density_unnormalized, sample_spectra,
-                     smallest_eigs_probability, tail_sum_probability,
-                     wilson_interval, wishart)
+                     fit_diversity_slope, log_density_unnormalized, montecarlo,
+                     sample_spectra, smallest_eigs_probability,
+                     tail_sum_probability, wilson_interval, wishart)
 from mmsediv.randmat import sample_complex_gaussian
 
 
@@ -267,16 +267,25 @@ class TestTailCurves:
 
     @pytest.mark.parametrize("estimator", [tail_sum_probability,
                                            smallest_eigs_probability])
-    def test_worker_count_invariance(self, estimator):
-        # two workers run blocks of different points side by side
+    def test_worker_count_invariance(self, estimator, monkeypatch):
+        # one point, two workers: block 1 is launched beside block 0 before
+        # any block returns, and dropped, as the point stops on block 0
         policy = TrialPolicy(max_trials=40_000, target_events=50,
                              block_trials=3_000)
-        rho_grid = [50.0, 500.0, 5000.0]
-        one, two = (estimator(2, 2, 1, 1.0, rho_grid, policy=policy,
-                              master_seed=14, workers=w) for w in (1, 2))
+        one = estimator(2, 2, 1, 1.0, [50.0], policy=policy, master_seed=14)
+        next_run, launched = montecarlo._next_run, []
+
+        def counting_next_run(*args):
+            run = next_run(*args)
+            launched.append(run is not None)
+            return run
+
+        monkeypatch.setattr(montecarlo, "_next_run", counting_next_run)
+        two = estimator(2, 2, 1, 1.0, [50.0], policy=policy, master_seed=14,
+                        workers=2)
         assert one.points == two.points
-        assert any(pt.converged and pt.trials // policy.block_trials % 2
-                   for pt in one.points)
+        consumed = -(-two.points[0].trials // policy.block_trials)
+        assert sum(launched) > consumed
 
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
