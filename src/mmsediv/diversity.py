@@ -197,8 +197,12 @@ def _count_below(statistic, threshold, dims, rho, rng, n_trials):
 
 
 def _capacity(taps, rho, cfg):
-    """The outage statistic; `mmse` is looked up at call time, not bound."""
-    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
+    """The outage statistic; `mmse` is looked up at call time, not bound.
+
+    With ``rate=R`` a capacity may be a float32 value, but always on the
+    float64 capacity's side of R, so every outage decision is float64's.
+    """
+    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling, rate=cfg.R)
 
 
 def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
@@ -208,8 +212,11 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     N x M matrix when flat, L tap matrices when selective), computes the
     MMSE capacity and counts outage events until the policy's event target
     or trial budget is hit; a block draws its channels in slices of at most
-    `_BLOCK_DRAW_BYTES` of taps (`_count_below`).  Given (cfg, grid, policy,
-    master_seed) the returned curve is bit-identical for any worker count.
+    `_BLOCK_DRAW_BYTES` of taps (`_count_below`).  Capacities are screened
+    in float32 against R and re-decided in float64 near it, so every
+    outage decision, and with it every count, equals the float64 one.
+    Given (cfg, grid, policy, master_seed) the returned curve is
+    bit-identical for any worker count.
     The grid is checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)

@@ -40,7 +40,31 @@ does not affect diversity results.
 Every diagonal of an inverse, for every M, comes from one elimination in
 real arithmetic (`_inverse_diagonal`): it factors ``G = U^H D U`` and sums
 the scaled rows of ``U^{-1}`` against the reciprocal pivots; no
-cofactor/adjugate inversion is used anywhere on the primary path.
+cofactor/adjugate inversion is used anywhere on the primary path.  The
+path is dtype-generic: complex64 taps run every step in float32.
+
+An outage count asks only which side of a rate R each capacity lies on,
+so `selective_capacity_batch` given ``rate=R`` screens each chunk in
+float32 first and keeps those capacities when each lies farther from R
+than its margin; any other chunk is recomputed in float64 exactly as
+without a rate.  The margin bounds ``|C32 - C64|``.  With
+``A_k = I + c G(k)``, ``lambda_min(A_k) >= 1`` and
+``||A_k|| <= 1 + c ||H(k)||_F^2 <= kappa = 1 + c L tr R_0``, since
+``||H(k)||_F <= sum_l ||T_l||_F``; so ``kappa`` bounds the condition
+number of every bin.  Forming ``A_k`` and eliminating it in float32 is
+exact for some ``A_k + E`` with ``||E|| <= g u kappa`` (u = 2^-24; the
+elimination is backward stable, Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 2002, ch. 10; g a modest constant of M,
+N and L).  As ``lambda_min(A_k) >= 1``,
+``|e_j' A^-1 E A^-1 e_j| <= ||A^-1 e_j||^2 ||E|| <= (A^-1)_jj ||E||``:
+each per-bin MSE moves by a relative ``g u kappa`` at most.  The float32
+mean of K positive terms adds a relative ``K u``, and a relative MSE
+error e moves ``log2(1 + SINR_j)`` by at most ``e / ln 2``, clamp
+included.  Over M streams, ``|C32 - C64| <= M u (g kappa + K) / ln 2``
+to first order (float64's own error is 2^-29 of that); the margin is
+``64 M u (kappa + K)``, fixed from this bound and checked by a property
+test over extreme SNR and near-singular and rescaled taps.  A trial with
+``|C32 - R|`` above its margin is therefore on float64's side of R.
 """
 
 from __future__ import annotations
@@ -70,6 +94,11 @@ ORACLE_SIZE_CAP = 512
 
 _NEG_SINR_SLACK = -1e-12
 
+# float32 unit roundoff, and the factor the screen's margin takes over
+# its first-order error bound (module docstring)
+_U32 = float(np.finfo(np.float32).eps) / 2
+_SCREEN_FACTOR = 64
+
 _health = {"evaluations": 0, "clamped_beyond_slack": 0}
 
 
@@ -78,7 +107,11 @@ def numerical_health():
 
     A Monte Carlo sweep adds the counters of the blocks it consumes, in
     whichever process they ran, so its totals do not depend on the worker
-    count (see `collect_health`).
+    count (see `collect_health`).  A realization that the float32 screen
+    of `selective_capacity_batch` decides adds its M SINRs to
+    ``evaluations`` and nothing to ``clamped_beyond_slack``: float32
+    roundoff can put an MSE past 1 by about 1e-7, which is no clamp.  A
+    chunk that falls back to float64 is counted once, as without a rate.
     """
     return dict(_health)
 
@@ -252,7 +285,7 @@ def _tap_autocorrelation(taps):
     conj = taps.conj()
     # summed in place: a fresh array per partial sum, at the same peak of
     # live bytes, left flat Monte Carlo workers with ~2 MB more resident
-    lags = np.zeros((n_taps, m, m, n), dtype=complex)
+    lags = np.zeros((n_taps, m, m, n), dtype=taps.dtype)
     for d in range(n_taps):
         for l in range(n_taps - d):
             lags[d] += (conj[l, :, :, None] * taps[l + d, :, None, :]).sum(axis=0)
@@ -316,18 +349,21 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     ``G_jj``, then Re and then Im of each ``G_jk``, j < k.  There is no
     flat route: L = 1 is the one-bin case, as every bin holds
     ``R_0 = H^H H``, and its basis ``[[1.0]]`` makes the product exact.
+    Every step runs in the precision of the taps: complex128 or complex64.
 
     Floating-point warnings are silenced: every entry feeds some pivot's
     Schur term, so an overflow or NaN anywhere ends in a refused pivot.
     """
     n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
-    c = noise_scaling(rho, m, n_taps, scaling)
+    real = taps.real.dtype
+    # in the taps' precision: a float64 c would promote complex64 products
+    c = real.type(noise_scaling(rho, m, n_taps, scaling))
     bins = n_bins if n_taps > 1 else 1
     # realizations last, as `_tap_autocorrelation` expects
     stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
     coefs = _gram_coefficients(np.ascontiguousarray(stack), c)
-    basis = _bin_basis(n_taps, bins)
+    basis = _bin_basis(n_taps, bins).astype(real, copy=False)
     pairs = list(itertools.combinations(range(m), 2))
     rows = ([coefs[:, j, j].real for j in range(m)]
             + [coefs[:, j, k].real for j, k in pairs]
@@ -361,7 +397,34 @@ def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
     return _sinrs_from_mse(_mse(taps, rho, n_bins, scaling))
 
 
-def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _float32_capacity(part, rho, n_bins, scaling):
+    """Float32 capacities of a chunk of (L, N, M) taps and their margins.
+
+    Returns ``(capacity, margin)`` as float64 arrays, the capacities holding
+    float32 values, or None when the float32 elimination refuses a pivot or
+    a capacity is not finite.  ``|capacity - C64| <= margin`` elementwise,
+    where C64 is the float64 capacity (see the module docstring); the
+    margin's bin count is the block length K, which is at least the number
+    of bins `_mse` averages (one when L = 1).
+    """
+    try:
+        mse = _mse(part.astype(np.complex64), rho, n_bins, scaling)
+    except NumericalError:
+        return None
+    # log2(1 + SINR) with the SINR clamped at zero
+    cap = np.sum(np.log2(np.maximum(1.0 / mse, 1.0)), axis=-1)
+    if not np.all(np.isfinite(cap)):
+        return None
+    n_taps, _, m = part.shape[-3:]
+    # c L tr R_0 = c L ||T||_F^2 bounds c ||H(k)||_F^2 in every bin
+    re_im = np.ascontiguousarray(part).reshape(len(part), -1).view(np.float64)
+    load = noise_scaling(rho, m, n_taps, scaling) * n_taps * np.einsum(
+        "ij,ij->i", re_im, re_im)
+    return cap.astype(np.float64), _SCREEN_FACTOR * m * _U32 * (1.0 + load + n_bins)
+
+
+def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None):
     """MMSE capacity (bits/s/Hz) of each realization in a (..., L, N, M) stack.
 
     Returns an array of the leading shape ``...``.  The stack is walked in
@@ -371,16 +434,32 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap"):
     call, and a longer one gives the capacities of its chunk-sized calls.
     Non-finite taps raise `ValueError`, as in `selective_sinrs`, once the
     elimination of their chunk has failed.
+
+    With a ``rate``, each chunk is first computed in float32 (the screen
+    of the module docstring).  A chunk whose every float32 capacity lies
+    farther from ``rate`` than its error margin returns those float32
+    values, each on the same side of ``rate`` as its float64 capacity;
+    any other chunk returns exactly the float64 capacities it returns
+    without a rate.  So ``capacity < rate`` is the float64 decision for
+    every realization.  A float32 failure (refused pivot, NaN, inf) only
+    sends its chunk to float64, which raises as it would without a rate.
     """
     taps = np.asarray(taps, dtype=complex)
     n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
+    noise_scaling(rho, m, n_taps, scaling)  # refused here, not in the screen
     chunk = _capacity_chunk_size((n_taps, n_rx, m), n_bins)
     stack = taps.reshape(-1, n_taps, n_rx, m)
     cap = np.empty(len(stack))
     # at least one call, so that an empty stack has its arguments checked too
     for lo in range(0, max(len(stack), 1), chunk):
         part = stack[lo:lo + chunk]
+        screen = None if rate is None else _float32_capacity(part, rho, n_bins, scaling)
+        if screen is not None and np.all(np.abs(screen[0] - rate) > screen[1]):
+            # counted as evaluated; float32 roundoff past 1 is not a clamp
+            _health["evaluations"] += part.shape[0] * m
+            cap[lo:lo + chunk] = screen[0]
+            continue
         try:
             mse = _mse(part, rho, n_bins, scaling)
         except NumericalError:

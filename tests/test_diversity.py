@@ -353,6 +353,39 @@ class TestEstimateOutage:
                                 "block_trials=20000)")
 
 
+def _float64_capacity(taps, rho, cfg):
+    """`diversity._capacity` without the float32 screen."""
+    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
+
+
+def _recording_mse(monkeypatch):
+    """Patch `mmse._mse` to record the tap dtype of each call; return the list."""
+    dtypes, mse = [], mmse._mse
+    monkeypatch.setattr(mmse, "_mse",
+                        lambda taps, *args: dtypes.append(taps.dtype) or mse(taps, *args))
+    return dtypes
+
+
+class TestFloat32Screen:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cfg, grid", [
+        (SystemConfig(M=2, N=2, R=6.0), [0.0, 15.0, 20.0]),
+        (SystemConfig(M=3, N=3, R=6.0, L=2, K=16), [5.0, 10.0, 15.0]),
+    ], ids=["flat", "selective"])
+    def test_counts_equal_float64_counts(self, monkeypatch, cfg, grid, workers):
+        policy = TrialPolicy(max_trials=12_000, target_events=100, block_trials=4000)
+        dtypes = _recording_mse(monkeypatch)
+        screened = estimate_outage(cfg, grid, policy=policy, master_seed=31,
+                                   workers=workers)
+        if workers == 1:
+            # the sweep both decided chunks in float32 and fell back to float64
+            assert set(dtypes) == {np.dtype(np.complex64), np.dtype(np.complex128)}
+        monkeypatch.setattr(diversity, "_capacity", _float64_capacity)
+        plain = estimate_outage(cfg, grid, policy=policy, master_seed=31,
+                                workers=workers)
+        assert screened.points == plain.points
+
+
 def _sliced_kernel(monkeypatch, kind, budget_trials):
     """A library kernel whose draw budget holds ``budget_trials`` trials, and
     ``count(rng, n)``, its events on one draw of n trials from ``rng``.
@@ -546,6 +579,21 @@ class TestSweepNumericalHealth:
         trials = sum(pt.trials for pt in curve.points)
         assert deltas[1] == deltas[2] == {"evaluations": 2 * trials,
                                           "clamped_beyond_slack": 0}
+
+    def test_float32_decided_trials_count_m_evaluations(self, monkeypatch):
+        # at high SNR most trials lie far above R and are decided in float32
+        cfg = SystemConfig(M=3, N=3, R=3.0, L=2, K=8)
+        policy = TrialPolicy(max_trials=6000, target_events=40, block_trials=1000)
+        grid = [25.0, 30.0]
+        deltas = {}
+        dtypes = _recording_mse(monkeypatch)
+        for workers in (1, 2):
+            curve, deltas[workers] = self._delta(lambda: estimate_outage(
+                cfg, grid, policy=policy, master_seed=22, workers=workers))
+        trials = sum(pt.trials for pt in curve.points)
+        assert deltas[1] == deltas[2] == {"evaluations": 3 * trials,
+                                          "clamped_beyond_slack": 0}
+        assert dtypes.count(np.complex128) < dtypes.count(np.complex64) / 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_clamps_are_counted_once_and_warned(self, workers):

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -214,11 +215,14 @@ class TestBatchPaths:
         # the bad realization is the last one, in the second capacity chunk
         taps = sample_complex_gaussian(2, 2, rng_for(33), size=(12_000, n_taps))
         taps[-1, -1, 0, 0] = bad
-        with pytest.raises(ValueError, match="channel taps contains non-finite"):
-            selective_capacity_batch(taps, 5.0, n_bins)
+        for screen in ({}, {"rate": 3.0}):
+            with pytest.raises(ValueError, match="channel taps contains non-finite"):
+                selective_capacity_batch(taps, 5.0, n_bins, **screen)
 
-    @pytest.mark.parametrize("call", [selective_sinrs, selective_capacity_batch],
-                             ids=["sinrs", "capacity"])
+    @pytest.mark.parametrize("call", [selective_sinrs, selective_capacity_batch,
+                                      functools.partial(selective_capacity_batch,
+                                                        rate=3.0)],
+                             ids=["sinrs", "capacity", "screened"])
     def test_infinite_pivot_raises(self, call):
         # |1e160|^2 overflows to +inf, a pivot that `> 0` alone would accept
         with pytest.raises(NumericalError, match="non-finite pivot"):
