@@ -35,8 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__, diversity, mmse, verify
-from .exceptions import (ConfigurationError, InsufficientDataError,
-                         NumericalError)
+from .exceptions import ConfigurationError, InsufficientDataError, NumericalError
 from .montecarlo import TrialPolicy
 
 __all__ = [
@@ -343,9 +342,6 @@ def main(argv=None):
     except (ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry_point():

@@ -96,15 +96,18 @@ class SystemConfig:
 class RateRegime:
     """Resolved rate regime with its per-stream interval and diversity bounds.
 
-    ``rate_interval`` bounds R/M (bits/s/Hz per stream); ``tight`` is true
-    exactly when the two diversity bounds coincide.
+    ``rate_interval`` bounds R/M (bits/s/Hz per stream).
     """
 
     m: int
     rate_interval: tuple
     diversity_low: int
     diversity_high: int
-    tight: bool
+
+    @property
+    def tight(self):
+        """True exactly when the two diversity bounds coincide."""
+        return self.diversity_low == self.diversity_high
 
     def describe(self):
         if self.tight:
@@ -119,18 +122,18 @@ def _lower_boundary(n_streams, m):
 
 
 def _find_regime_index(n_streams, rate_per_stream):
-    """Unique m with log2(M/m) < R/M < log2(M/(m-1)); refuses exact boundaries."""
+    """Unique m with log2(M/m) < R/M < log2(M/(m-1)) for R/M > 0; refuses
+    exact boundaries.  The edges fall as m rises and the m = M edge is 0."""
     for m in range(1, n_streams):
-        if rate_per_stream == _lower_boundary(n_streams, m):
+        edge = _lower_boundary(n_streams, m)
+        if rate_per_stream == edge:
             raise BoundaryRateError(
                 f"per-stream rate R/M = {rate_per_stream} equals the regime "
                 f"boundary log2({n_streams}/{m}); regimes m={m} (above) and "
                 f"m={m + 1} (below) meet there and neither applies")
-    for m in range(1, n_streams + 1):
-        if rate_per_stream > _lower_boundary(n_streams, m):
+        if rate_per_stream > edge:
             return m
-    # unreachable for rate_per_stream > 0: the m = M boundary is log2(1) = 0
-    raise ConfigurationError(f"no regime contains R/M = {rate_per_stream}")
+    return n_streams
 
 
 def resolve_rate_regime(cfg):
@@ -168,10 +171,10 @@ def resolve_rate_regime(cfg):
     d_high = m * (L * N - M + m)
     if x < tight_high:
         return RateRegime(m=m, rate_interval=(low, tight_high),
-                          diversity_low=d_high, diversity_high=d_high, tight=True)
+                          diversity_low=d_high, diversity_high=d_high)
     d_low = (m - 1) * (L * N - M + (m - 1))
     return RateRegime(m=m, rate_interval=(tight_high, upper),
-                      diversity_low=d_low, diversity_high=d_high, tight=False)
+                      diversity_low=d_low, diversity_high=d_high)
 
 
 _BLOCK_DRAW_BYTES = 256 * 2**20

@@ -79,8 +79,6 @@ from .exceptions import (ConfigurationError, NumericalError, NumericalHealthWarn
 
 __all__ = [
     "SCALING_CONVENTIONS",
-    "collect_health",
-    "merge_health",
     "numerical_health",
     "selective_capacity_batch",
     "selective_sinrs",
@@ -99,19 +97,19 @@ _NEG_SINR_SLACK = -1e-12
 _U32 = float(np.finfo(np.float32).eps) / 2
 _SCREEN_FACTOR = 64
 
-_health = {"evaluations": 0, "clamped_beyond_slack": 0}
+_health = {"clamped_beyond_slack": 0}
 
 
 def numerical_health():
-    """Counters of SINR evaluations and clamps beyond the roundoff slack.
+    """``{"clamped_beyond_slack": n}``: n SINRs fell below the roundoff
+    slack and were clamped to zero.
 
-    A Monte Carlo sweep adds the counters of the blocks it consumes, in
-    whichever process they ran, so its totals do not depend on the worker
+    A Monte Carlo sweep adds the counts of the blocks it consumes, in
+    whichever process they ran, so its total does not depend on the worker
     count (see `collect_health`).  A realization that the float32 screen
-    of `selective_capacity_batch` decides adds its M SINRs to
-    ``evaluations`` and nothing to ``clamped_beyond_slack``: float32
-    roundoff can put an MSE past 1 by about 1e-7, which is no clamp.  A
-    chunk that falls back to float64 is counted once, as without a rate.
+    of `selective_capacity_batch` decides adds nothing: float32 roundoff
+    can put an MSE past 1 by about 1e-7, which is no clamp.  A chunk that
+    falls back to float64 is counted once, as without a rate.
     """
     return dict(_health)
 
@@ -216,7 +214,6 @@ def _inverse_diagonal(diag, upper):
 def _sinrs_from_mse(mse):
     """1/mse - 1, clamped at zero; counts clamps beyond the roundoff slack."""
     beta = 1.0 / mse - 1.0
-    _health["evaluations"] += beta.size
     bad = int(np.count_nonzero(beta < _NEG_SINR_SLACK))
     if bad:
         _health["clamped_beyond_slack"] += bad
@@ -456,8 +453,6 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
         part = stack[lo:lo + chunk]
         screen = None if rate is None else _float32_capacity(part, rho, n_bins, scaling)
         if screen is not None and np.all(np.abs(screen[0] - rate) > screen[1]):
-            # counted as evaluated; float32 roundoff past 1 is not a clamp
-            _health["evaluations"] += part.shape[0] * m
             cap[lo:lo + chunk] = screen[0]
             continue
         try:

@@ -13,9 +13,9 @@ flight.  A free worker takes a sure block if there is one: the next block
 of the lowest unfinished point with none in flight, which that point needs
 whatever its earlier blocks return.  Otherwise it takes the next block of
 the lowest unfinished point speculatively; blocks past a point's stopping
-block are dropped, errors included.  Each block also returns the `mmse`
-numerical-health counters it produced; only consumed blocks are merged
-into the calling process's counters.
+block are dropped, errors included.  Each block also returns the count of
+`mmse` clamps it produced (`mmse.numerical_health`); only consumed blocks
+are merged into the calling process's count.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class BinomialCurve:
 
 
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
-    """Event count of one block and the mmse health counters it produced."""
+    """Event count of one block and the mmse clamp count it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
     events, health = mmse.collect_health(kernel, rho, rng, n_trials)
     if not (isinstance(events, numbers.Integral) and 0 <= events <= n_trials):
@@ -175,19 +175,18 @@ def _run_inline(fn, *args):
 def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
     """Points of the whole grid, with at most ``n_workers`` blocks in flight.
 
-    ``open_runs`` holds the started unfinished points in index order and,
-    last, the next point to start.
+    ``open_runs`` holds every unfinished point in index order, from the
+    start.  A point with no block launched is idle and `_next_run` takes
+    the first idle point, so the points start in index order.
     """
     size, cap, target = policy.block_trials, policy.max_trials, policy.target_events
     n_blocks = -(-cap // size)
     points = [None] * rho.size
-    open_runs, in_flight = [_PointRun(0)], {}
+    open_runs, in_flight = [_PointRun(g) for g in range(rho.size)], {}
     while open_runs:
         while len(in_flight) < n_workers and (run := _next_run(open_runs, n_blocks)):
             g, i = run.index, run.launched
             run.launched += 1
-            if i == 0 and g + 1 < rho.size:
-                open_runs.append(_PointRun(g + 1))
             # block i holds min(block_trials, max_trials - i * block_trials) trials
             future = submit(_block_events, kernel, rho[g], master_seed, g, i,
                             min(size, cap - i * size))

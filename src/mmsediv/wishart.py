@@ -77,6 +77,8 @@ def _pair_spectra(h):
     d = np.einsum("bn,bn->b", y.conj(), y).real
     g = np.abs(np.einsum("bn,bn->b", x.conj(), y))
     lam_max = 0.5 * (a + d + np.hypot(a - d, 2.0 * g))
+    # released before the minor loop: 80 in place of 104 B per row at N = 2
+    del a, d, g
     det = 0.0
     for i, j in combinations(range(h.shape[1]), 2):
         minor = x[:, i] * y[:, j] - x[:, j] * y[:, i]

@@ -119,6 +119,39 @@ class TestOutage:
         assert code == 1
         assert "3 grid points" in err
 
+    @pytest.mark.parametrize("start, stop, step, message", [
+        ("0", "10", "0", "snr-step must be positive"),
+        ("10", "5", "2.5", "need snr-start < snr-stop"),
+        ("5", "5", "2.5", "need snr-start < snr-stop"),
+    ])
+    def test_empty_or_stepless_grid_exits_1(self, tmp_path, capsys, start, stop,
+                                            step, message):
+        code, _, err = run([
+            "outage", "--M", "2", "--N", "2", "--rate", "3",
+            "--snr-start", start, "--snr-stop", stop, "--snr-step", step,
+            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert message in err
+
+    def test_fit_outside_tolerance_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a curve of slope exactly -2 against the predicted diversity 1
+        def steep_curve(cfg, grid, **kwargs):
+            points = [CurvePoint(rho=10.0 ** (db / 10.0), snr_db=float(db),
+                                 trials=10 ** 6, outages=10 ** (5 - k),
+                                 p_out=10.0 ** (-1 - k), ci_low=0.0, ci_high=1.0,
+                                 converged=True)
+                      for k, db in enumerate(grid)]
+            return BinomialCurve(scenario=cfg.label(), points=points)
+
+        monkeypatch.setattr(diversity, "estimate_outage", steep_curve)
+        code, stdout, _ = run([
+            "outage", "--M", "2", "--N", "2", "--rate", "3",
+            "--snr-start", "0", "--snr-stop", "20", "--snr-step", "5",
+            "--out", str(tmp_path / "f.csv")], capsys)
+        assert code == 2
+        assert "verdict: FAIL: d_hat=2.0000 outside [0.5, 1.5]" in stdout
+        assert "verdict=fail" in (tmp_path / "f.csv.report.txt").read_text()
+
     def test_unconverged_run_exits_2(self, tmp_path, capsys):
         # a tiny trial budget deep in the tail cannot converge any point
         code, stdout, _ = run([
@@ -245,6 +278,12 @@ class TestConfigFile:
         code, out, _ = run(["predict", "--config", str(cfg), "--L", "1"], capsys)
         assert code == 0
         assert "diversity=1" in out
+
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, _, err = run(["predict", "--config", str(missing)], capsys)
+        assert code == 1
+        assert f"error: cannot read config file {missing}" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -63,13 +63,26 @@ class TestFlatRegimes:
             assert regime.tight
             assert regime.diversity_low == regime.diversity_high == m * (n_rx - m_streams + m)
 
-    @pytest.mark.parametrize("m_streams", [2, 3, 4])
+    @pytest.mark.parametrize("m_streams", [2, 3, 4, 5, 6, 7, 8])
     def test_boundary_rates_refused(self, m_streams):
         for m in range(1, m_streams):
-            rate = m_streams * math.log2(m_streams / m)
+            edge = math.log2(m_streams / m)
+            rate = m_streams * edge
             with pytest.raises(BoundaryRateError) as err:
                 resolve(m_streams, m_streams, rate)
             assert f"m={m}" in str(err.value) and f"m={m + 1}" in str(err.value)
+            # one ulp off the edge, in R/M and in R: regime m above, m + 1
+            # below, and refused where R/M rounds back onto the edge
+            for way in (math.inf, -math.inf):
+                for near in (m_streams * math.nextafter(edge, way),
+                             math.nextafter(rate, way)):
+                    x = near / m_streams
+                    if x == edge:
+                        with pytest.raises(BoundaryRateError):
+                            resolve(m_streams, m_streams, near)
+                    else:
+                        regime = resolve(m_streams, m_streams, near)
+                        assert regime.m == (m if x > edge else m + 1)
 
     def test_diversity_nonincreasing_in_rate(self):
         m_streams, n_rx = 3, 4
@@ -191,6 +204,9 @@ class TestSystemConfig:
             SystemConfig(M=2, N=2, R=1.0, L=3, K=2)
         with pytest.raises(ConfigurationError):
             SystemConfig(M=2, N=2, R=1.0, scaling="nope")
+        for field in ("M", "L", "K"):
+            with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+                SystemConfig(**{"M": 2, "N": 2, "R": 1.0, field: 0})
 
     @pytest.mark.parametrize("field, value", [("M", 2.5), ("N", 3.5), ("L", 2.5),
                                               ("K", 8.5), ("M", 2.0)],
@@ -293,12 +309,25 @@ class TestEstimateOutage:
             assert pt.ci_low <= pt.p_out <= pt.ci_high
             assert pt.converged == (pt.outages >= policy.target_events)
 
+    def test_curve_columns_follow_points(self):
+        curve = make_curve([10.0, 100.0], [0.1, 0.01])
+        curve.points += make_curve([1000.0], [0.0], converged=False).points
+        assert np.array_equal(curve.column("rho"), [10.0, 100.0, 1000.0])
+        assert np.array_equal(curve.snr_db, [pt.snr_db for pt in curve.points])
+        assert np.array_equal(curve.p_out, [0.1, 0.01, 0.0])
+        assert curve.converged.tolist() == [True, True, False]
+
     def test_rejects_bad_grid(self):
         cfg = SystemConfig(M=2, N=2, R=1.0)
         with pytest.raises(ConfigurationError):
             estimate_outage(cfg, [5.0, 5.0], master_seed=0)
         with pytest.raises(ConfigurationError):
             estimate_outage(cfg, [], master_seed=0)
+        for rho in ([0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                estimate_binomial_curve(_all_events_kernel, rho)
+        with pytest.raises(ConfigurationError, match="snr_db grid must match"):
+            estimate_binomial_curve(_all_events_kernel, [1.0, 2.0], snr_db_grid=[0.0])
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     @pytest.mark.parametrize("estimate", [
@@ -323,6 +352,8 @@ class TestEstimateOutage:
             TrialPolicy(max_trials=0)
         with pytest.raises(ConfigurationError):
             TrialPolicy(target_events=0)
+        with pytest.raises(ConfigurationError, match="block_trials must be >= 1"):
+            TrialPolicy(block_trials=0)
 
     @pytest.mark.parametrize("workers", [2.5, 2.0, "2"])
     def test_rejects_non_integer_worker_count(self, monkeypatch, workers):
@@ -332,6 +363,11 @@ class TestEstimateOutage:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigurationError, match="workers"):
             estimate_outage(SystemConfig(M=2, N=2, R=1.0), [0.0], workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_refused(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            montecarlo.resolve_workers(workers)
 
     @pytest.mark.parametrize("workers, count", [(1, 1), (np.int64(3), 3),
                                                 (None, None), ("auto", None)])
@@ -515,7 +551,42 @@ def _rising_rate_kernel(rho, rng, n_trials):
     return int(np.count_nonzero(rng.random(n_trials) < 10.0 ** (rho - 4.0)))
 
 
+def _scripted_kernel(rho, rng, n_trials):
+    """No events at rho = 1 (caps), 3 per block at rho = 2, every trial at rho = 3."""
+    return min({1.0: 0, 2.0: 3, 3.0: n_trials}[rho], n_trials)
+
+
 class TestSweepScheduler:
+    @pytest.mark.parametrize("workers, launches", [
+        (1, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0)]),
+        (2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 3)]),
+        # block 2 of point 1 runs speculatively and is dropped
+        (3, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]),
+    ])
+    def test_launch_sequence_is_pinned(self, monkeypatch, workers, launches):
+        # blocks complete in a scripted order: the third, first, second, ...
+        # pending block, counted in launch order
+        script, completed, launched = [2, 0, 1], [], []
+
+        def submit(fn, *args):
+            launched.append(args[3:5])  # (g, i)
+            return montecarlo._run_inline(fn, *args)
+
+        def scripted_wait(futures, return_when):
+            pending = list(futures)
+            done = pending[script[len(completed) % len(script)] % len(pending)]
+            completed.append(done)
+            return {done}, set(pending) - {done}
+
+        monkeypatch.setattr(montecarlo, "wait", scripted_wait)
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        rho = np.array([1.0, 2.0, 3.0])
+        points = montecarlo._sweep(_scripted_kernel, rho, 10.0 * np.log10(rho),
+                                   policy, 0, submit, workers)
+        assert launched == launches
+        counts = [(pt.trials, pt.outages) for pt in points]
+        assert counts == [(40, 0), (20, 6), (10, 10)]
+
     def test_discarded_block_errors_are_dropped(self):
         # with two workers block 1 runs speculatively and raises
         policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
@@ -574,13 +645,11 @@ class TestSweepNumericalHealth:
         grid = [0.0, 7.5, 15.0]
         deltas = {}
         for workers in (1, 2):
-            curve, deltas[workers] = self._delta(lambda: estimate_outage(
+            _, deltas[workers] = self._delta(lambda: estimate_outage(
                 cfg, grid, policy=policy, master_seed=21, workers=workers))
-        trials = sum(pt.trials for pt in curve.points)
-        assert deltas[1] == deltas[2] == {"evaluations": 2 * trials,
-                                          "clamped_beyond_slack": 0}
+        assert deltas[1] == deltas[2] == {"clamped_beyond_slack": 0}
 
-    def test_float32_decided_trials_count_m_evaluations(self, monkeypatch):
+    def test_float32_decided_trials_count_no_clamps(self, monkeypatch):
         # at high SNR most trials lie far above R and are decided in float32
         cfg = SystemConfig(M=3, N=3, R=3.0, L=2, K=8)
         policy = TrialPolicy(max_trials=6000, target_events=40, block_trials=1000)
@@ -588,11 +657,9 @@ class TestSweepNumericalHealth:
         deltas = {}
         dtypes = _recording_mse(monkeypatch)
         for workers in (1, 2):
-            curve, deltas[workers] = self._delta(lambda: estimate_outage(
+            _, deltas[workers] = self._delta(lambda: estimate_outage(
                 cfg, grid, policy=policy, master_seed=22, workers=workers))
-        trials = sum(pt.trials for pt in curve.points)
-        assert deltas[1] == deltas[2] == {"evaluations": 3 * trials,
-                                          "clamped_beyond_slack": 0}
+        assert deltas[1] == deltas[2] == {"clamped_beyond_slack": 0}
         assert dtypes.count(np.complex128) < dtypes.count(np.complex64) / 2
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -604,7 +671,7 @@ class TestSweepNumericalHealth:
             curve, delta = self._delta(lambda: estimate_binomial_curve(
                 _clamping_kernel, [1.0], policy=policy, workers=workers))
         assert curve.points[0].trials == 30
-        assert delta == {"evaluations": 6, "clamped_beyond_slack": 3}
+        assert delta == {"clamped_beyond_slack": 3}
         assert sum(issubclass(w.category, NumericalHealthWarning)
                    for w in record) == 3
 

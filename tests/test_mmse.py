@@ -155,6 +155,13 @@ class TestSelectiveSinrs:
         with pytest.raises(ValueError):
             selective_sinrs(taps, 1.0, 8)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2)])
+    @pytest.mark.parametrize("call", [selective_sinrs, selective_sinrs_oracle],
+                             ids=["sinrs", "oracle"])
+    def test_rejects_taps_that_are_not_3d(self, call, shape):
+        with pytest.raises(ValueError, match=re.escape("shape (L, N, M)")):
+            call(np.ones(shape, dtype=complex), 5.0, 2)
+
 
 class TestBlockCirculantOracle:
     def test_scalar_circulant(self):

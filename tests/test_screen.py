@@ -105,8 +105,7 @@ def test_float32_roundoff_past_one_is_no_clamp():
         warnings.simplefilter("error", NumericalHealthWarning)
         screened = selective_capacity_batch(taps, rho, 8, rate=1.0)
     after = mmse.numerical_health()
-    assert after["evaluations"] - before["evaluations"] == 20_000
-    assert after["clamped_beyond_slack"] == before["clamped_beyond_slack"]
+    assert after == before
     plain = selective_capacity_batch(taps, rho, 8)
     assert not np.array_equal(screened, plain)  # decided in float32
     assert np.array_equal(screened < 1.0, plain < 1.0)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from mmsediv import (ConfigurationError, FitWindow, TrialPolicy, derive_stream,
-                     fit_diversity_slope, log_density_unnormalized, montecarlo,
+from mmsediv import (ConfigurationError, FitWindow, NumericalError, TrialPolicy,
+                     derive_stream, fit_diversity_slope,
+                     log_density_unnormalized, montecarlo,
                      sample_spectra, smallest_eigs_probability,
                      tail_sum_probability, wilson_interval, wishart)
 from mmsediv.randmat import sample_complex_gaussian
@@ -50,6 +51,18 @@ class TestSpectrumSampling:
     def test_rejects_non_integer_sizes(self, args):
         with pytest.raises(ConfigurationError):
             sample_spectra(*args[:2], rng_for(5), args[2])
+
+    def test_eigenvalues_below_the_slack_are_refused(self, monkeypatch):
+        # roundoff within _EIG_SLACK lambda_max is clamped to zero; below it
+        # the eigensolver is not trusted
+        h = sample_complex_gaussian(3, 3, rng_for(43), size=2)
+        lam = wishart._eigvalsh_spectra(h)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: lam.copy())
+        lam[0, 0] = 0.5 * wishart._EIG_SLACK * lam[0, -1]
+        assert wishart._eigvalsh_spectra(h)[0, 0] == 0.0
+        lam[0, 0] = 2.0 * wishart._EIG_SLACK * lam[0, -1]
+        with pytest.raises(NumericalError, match="below"):
+            wishart._eigvalsh_spectra(h)
 
 
 def mp_spectrum(h):
