@@ -70,6 +70,7 @@ test over extreme SNR and near-singular and rescaled taps.  A trial with
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -158,12 +159,12 @@ def noise_scaling(rho, n_streams, n_taps=1, scaling="per-tap"):
         f"unknown scaling convention {scaling!r}; expected one of {SCALING_CONVENTIONS}")
 
 
-def _inverse_diagonal(diag, upper):
+def _inverse_diagonal(entries):
     """Diagonal of ``G^{-1}`` for Hermitian positive-definite G, in real arithmetic.
 
-    ``diag[j]`` is ``G_jj`` and ``upper`` the real, then the imaginary
-    parts of ``G_jk``, j < k, in `np.triu_indices` order: real arrays of
-    one shape, one matrix per element.  Returns the list of M diagonals.
+    ``entries`` is a real (M^2, ...) stack, one matrix per trailing element:
+    each ``G_jj``, then Re and then Im of each ``G_jk``, j < k, in
+    `np.triu_indices` order.  Overwrites it; returns ``entries[:M]``, the diagonals.
 
     Eliminating row j from the trailing rows factors ``G = U^H D U`` with
     rows ``w_j = D_j U_j`` and takes the Schur term ``|w_jk|^2 / D_j`` off
@@ -173,26 +174,27 @@ def _inverse_diagonal(diag, upper):
     At M = 2 that is ``d1 = 1/(c - |b|^2/a)``, ``d0 = (1 + (|b|^2/a) d1)/a``
     step for step, and ``1/D_0`` is taken only when D_0 is the last pivot.
     """
-    m = len(diag)
+    m = math.isqrt(len(entries))
     pairs = list(itertools.combinations(range(m), 2))
-    re = dict(zip(pairs, upper[:len(pairs)]))
-    im = dict(zip(pairs, upper[len(pairs):]))
-    piv, schur = list(diag), {}
+    # views, 0-d ones too, so that `-=` writes into `entries`
+    rows = [entries[r, ...] for r in range(len(entries))]
+    piv, schur = rows[:m], {}
+    re, im = dict(zip(pairs, rows[m:])), dict(zip(pairs, rows[m + len(pairs):]))
     for j in range(m):
         # two reductions refuse NaN, +inf and nonpositive pivots; skipped when empty
         if piv[j].size and not (piv[j].min() > 0.0 and piv[j].max() < np.inf):
             raise NumericalError("elimination hit a nonpositive or non-finite pivot")
         for i in range(j + 1, m):
             schur[j, i] = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
-            piv[i] = piv[i] - schur[j, i]
+            piv[i] -= schur[j, i]
             if i + 1 < m:
                 # G_ik -= conj(w_ji) w_jk / D_j right of pivot i
                 ur, ui = re[j, i] / piv[j], im[j, i] / piv[j]
                 for k in range(i + 1, m):
-                    re[i, k] = re[i, k] - (ur * re[j, k] + ui * im[j, k])
-                    im[i, k] = im[i, k] - (ur * im[j, k] - ui * re[j, k])
-    recip = {k: 1.0 / piv[k] for k in range(min(1, m - 1), m)}
-    out = [None] * (m - 1) + [recip[m - 1]]
+                    re[i, k] -= ur * re[j, k] + ui * im[j, k]
+                    im[i, k] -= ur * im[j, k] - ui * re[j, k]
+    recip = {k: 1.0 / piv[k] for k in range(min(1, m - 1), m - 1)}
+    recip[m - 1] = np.divide(1.0, piv[m - 1], out=piv[m - 1])
     for j in reversed(range(m - 1)):
         # entry (j, k) becomes -z_jk = w_jk - sum_l (w_jl / D_l) (-z_lk)
         scaled = {l: (re[j, l] * recip[l], im[j, l] * recip[l])
@@ -201,14 +203,12 @@ def _inverse_diagonal(diag, upper):
         for k in range(j + 2, m):
             for l in range(j + 1, k):
                 (sr, si), zr, zi = scaled[l], re[l, k], im[l, k]
-                re[j, k] = re[j, k] - (sr * zr - si * zi)
-                im[j, k] = im[j, k] - (sr * zi + si * zr)
+                re[j, k] -= sr * zr - si * zi
+                im[j, k] -= sr * zi + si * zr
             total += (re[j, k] * re[j, k] + im[j, k] * im[j, k]) / piv[j] * recip[k]
-        # in place, like numpy's elided temporaries: a fresh array cost ~4 % trials/s
         total += 1.0
-        total /= piv[j]
-        out[j] = total
-    return out
+        np.divide(total, piv[j], out=piv[j])
+    return entries[:m]
 
 
 def _sinrs_from_mse(mse):
@@ -314,27 +314,24 @@ def _gram_coefficients(taps, c):
 
 
 _CHUNK_BYTES = 4 * 2**20
-_MAX_CHUNK = 65536
 
 
 def _capacity_chunk_size(tap_shape, n_bins):
     """Realizations per `_mse` call that keep its temporaries near `_CHUNK_BYTES`.
 
-    Bytes per realization of (L, N, M) taps: for L > 1 twice the GEMM
-    output of ``8 K M^2`` real bytes, which leaves as much again for the
-    elimination's temporaries (1024 realizations at M = 2, K = 64); for one
-    bin the tap side, ``16 (2 N M + N M^2 + 2 M^2)``: the contiguous and
-    conjugated taps, one (N, M, M) lag product and two lag sums, the
-    measured peak of a flat call (384 at M = N = 2).  The L > 1 rule must
-    not move: the chunk decides which basis-GEMM columns hold a
-    realization, and so the last bits of its capacity.
+    Bytes per realization of (L, N, M) taps over `_mse`'s bins (K, or one
+    at L = 1): ``16 M max(bins M, 2 L N + N M + 2 L M)``.  The first term is
+    twice the Gram entries, leaving as much again for the elimination (1024
+    realizations at M = 2, L = 2, K = 64); the second the tap side: the
+    contiguous and conjugated taps, one (N, M, M) lag product and two lag
+    sums (384 B at M = N = 2, L = 1).  MSEs kept their bits across chunks of
+    64 to 4096 realizations (six shapes, M = 1 to 8, L = 2 to 4); chunks of
+    1 and 7 moved last bits, as the basis product takes another BLAS path.
     """
     n_taps, n_rx, m = tap_shape
-    if n_taps > 1:
-        per_trial = 16 * n_bins * m * m
-    else:
-        per_trial = 16 * (2 * n_rx * m + n_rx * m * m + 2 * m * m)
-    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_trial))
+    bins = n_bins if n_taps > 1 else 1
+    per_trial = 16 * m * max(bins * m, 2 * n_taps * n_rx + n_rx * m + 2 * n_taps * m)
+    return max(1, _CHUNK_BYTES // per_trial)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -359,17 +356,15 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     bins = n_bins if n_taps > 1 else 1
     # realizations last, as `_tap_autocorrelation` expects
     stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
-    coefs = _gram_coefficients(np.ascontiguousarray(stack), c)
+    coefs = np.moveaxis(_gram_coefficients(np.ascontiguousarray(stack), c), 0, 2)
     basis = _bin_basis(n_taps, bins).astype(real, copy=False)
-    pairs = list(itertools.combinations(range(m), 2))
-    rows = ([coefs[:, j, j].real for j in range(m)]
-            + [coefs[:, j, k].real for j, k in pairs]
-            + [coefs[:, j, k].imag for j, k in pairs])
-    # one GEMM for every entry and realization: (K, 2L-1) @ (2L-1, M^2 n)
-    entries = basis.T @ np.stack(rows, axis=1).reshape(len(basis), -1)
-    entries = np.moveaxis(entries.reshape(bins, m * m, -1), 1, 0)
-    inv_diag = _inverse_diagonal(entries[:m], entries[m:])
-    return np.stack([d.mean(axis=0) for d in inv_diag], axis=-1).reshape(*lead, m)
+    diag, upper = np.diag_indices(m), np.triu_indices(m, 1)
+    # one batched product, (K, 2L-1) @ (M^2, 2L-1, n): an entry-major
+    # (M^2, K, n) stack, each entry's rows contiguous for the elimination
+    entries = basis.T @ np.concatenate(
+        [coefs[diag].real, coefs[upper].real, coefs[upper].imag])
+    # in C order: a sum over M >= 8 streams takes another order on a transpose
+    return _inverse_diagonal(entries).mean(axis=1).T.copy().reshape(*lead, m)
 
 
 def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):

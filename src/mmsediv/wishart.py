@@ -46,7 +46,8 @@ __all__ = [
 
 # lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
-_SPECTRUM_CHUNK = 65536
+# `_spectra` chunk temporaries; a row takes 16 (N + 3) B at M = 2, else 16 M (N + M)
+_SPECTRUM_BYTES = 65536 * 80
 
 
 def _check_dims(M, N):
@@ -88,16 +89,20 @@ def _pair_spectra(h):
     return np.stack([np.minimum(lam_min, lam_max), lam_max], axis=1)
 
 
-def _spectra(h):
-    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative.
+def _spectrum_chunk(n_rx, m):
+    """Rows of (N, M) draws per `_spectra` chunk; no spectrum depends on it."""
+    per_row = 16 * (n_rx + 3) if m == 2 else 16 * m * (n_rx + m)
+    return max(1, _SPECTRUM_BYTES // per_row)
 
-    Closed form at M = 2, ``eigvalsh`` otherwise, `_SPECTRUM_CHUNK` rows at
-    a time: beyond the input and the result, temporaries stay bounded.
-    """
+
+def _spectra(h):
+    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative:
+    closed form at M = 2, ``eigvalsh`` otherwise, `_spectrum_chunk` rows at a time."""
     spectra = _pair_spectra if h.shape[-1] == 2 else _eigvalsh_spectra
+    chunk = _spectrum_chunk(*h.shape[-2:])
     lam = np.empty((len(h), h.shape[-1]))
-    for lo in range(0, len(h), _SPECTRUM_CHUNK):
-        lam[lo:lo + _SPECTRUM_CHUNK] = spectra(h[lo:lo + _SPECTRUM_CHUNK])
+    for lo in range(0, len(h), chunk):
+        lam[lo:lo + chunk] = spectra(h[lo:lo + chunk])
     return lam
 
 

@@ -95,6 +95,15 @@ def test_chunked_call_is_its_chunk_calls(n_taps, n_bins, lead):
     assert np.array_equal(got, np.concatenate([np.empty(0), *calls]).reshape(lead))
 
 
+@pytest.mark.parametrize("tap_shape, n_bins, chunk", [
+    ((2, 2, 2), 64, 1024),   # A1: twice the 8 K M^2 bytes of Gram entries
+    ((1, 2, 2), 64, 10922),  # flat: the tap side, one bin whatever K is
+    ((4, 64, 1), 4, 448),    # SIMO: the tap side outweighs 4 bins of entries
+], ids=["selective", "flat", "simo"])
+def test_capacity_chunk_size(tap_shape, n_bins, chunk):
+    assert mmse._capacity_chunk_size(tap_shape, n_bins) == chunk
+
+
 def test_capacity_call_memory_is_bounded():
     # 20,000 realizations of a 2x2, 2-tap link over 64 bins in one call: the
     # taps take 2.4 MiB, and one `_mse` call on all of them peaks near 82 MiB
@@ -116,7 +125,11 @@ def test_capacity_call_memory_is_bounded():
     # holds 12 MiB of taps plus a chunk's temporaries, which lag chunks
     # sized for one Gram matrix per trial (65536 * 384 B) push past 30 MiB
     (SystemConfig(M=2, N=2, R=1.2), 200_000, 30),
-], ids=["selective", "flat"])
+    # a 64-antenna SIMO link over 4 bins, where the taps outweigh the Gram
+    # entries: chunks sized by the entries alone (65536 realizations) would
+    # hold about 9 kB of tap-side temporaries per realization
+    (SystemConfig(M=1, N=64, L=4, K=4, R=1.0), 4096, 32),
+], ids=["selective", "flat", "simo"])
 def test_outage_kernel_memory_is_bounded(cfg, n_trials, limit_mib, monkeypatch):
     # the kernel `estimate_outage` hands to the block engine
     monkeypatch.setattr(diversity, "estimate_binomial_curve",

@@ -23,14 +23,15 @@ def flat_sinrs(channel, rho):
 def spd_inverse_diagonal(mats):
     """Diagonal of the inverse of (..., M, M) Hermitian positive-definite stacks.
 
-    Runs `mmse._inverse_diagonal` on the diagonal and the upper triangle.
+    Runs `mmse._inverse_diagonal` on one fresh entry stack: the diagonal,
+    then the real and the imaginary parts of the upper triangle.
     """
     mats = np.asarray(mats, dtype=complex)
     iu = np.triu_indices(mats.shape[-1], 1)
     diag = np.moveaxis(np.diagonal(mats, axis1=-2, axis2=-1).real, -1, 0)
     upper = np.moveaxis(mats[..., iu[0], iu[1]], -1, 0)
-    return np.stack(mmse_mod._inverse_diagonal(diag, [*upper.real, *upper.imag]),
-                    axis=-1)
+    entries = np.concatenate([diag, upper.real, upper.imag])
+    return np.stack(mmse_mod._inverse_diagonal(entries), axis=-1)
 
 
 def block_circulant_operator(taps, n_blocks):

@@ -127,8 +127,8 @@ class TestTailKernel:
         (3, 3, smallest_eigs_probability),
     ], ids=["sum-N2", "mth-N2", "sum-N3", "mth-N3", "mth-M3-eigvalsh"])
     def test_count_spans_two_chunks(self, M, N, estimator, monkeypatch):
-        n = 70_000
-        chunk = wishart._SPECTRUM_CHUNK
+        chunk = wishart._spectrum_chunk(N, M)
+        n = chunk + 4464  # 70,000 at M = N = 2
         assert chunk < n < 2 * chunk
         h = sample_complex_gaussian(N, M, rng_for(40, M, N), size=n)
         lam = wishart._spectra(h)
@@ -147,16 +147,22 @@ class TestTailKernel:
         assert kernel(1.0, rng_for(40, M, N), n) == np.count_nonzero(stat < b)
 
     def test_spectra_memory_is_bounded(self):
-        # 300,000 M = 2 draws: the result takes 4.6 MiB, and one closed-form
-        # pass over the whole stack peaks near 30 MiB
-        h = sample_complex_gaussian(2, 2, rng_for(41), size=300_000)
-        tracemalloc.start()
-        try:
-            wishart._spectra(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20
+        for M, n, limit_mib in [
+            # 300,000 M = 2 draws: the result takes 4.6 MiB, and one
+            # closed-form pass over the whole stack peaks near 30 MiB
+            (2, 300_000, 12),
+            # 10,000 M = N = 8 draws: the result takes 0.6 MiB, and one
+            # 65536-row chunk, sized for M = 2, would hold 2 kB a row
+            (8, 10_000, 8),
+        ]:
+            h = sample_complex_gaussian(M, M, rng_for(41), size=n)
+            tracemalloc.start()
+            try:
+                wishart._spectra(h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mib * 2**20, (M, peak)
 
 
 class TestLogDensity:
