@@ -44,11 +44,13 @@ cofactor/adjugate inversion is used anywhere on the primary path.  The
 path is dtype-generic: complex64 taps run every step in float32.
 
 An outage count asks only which side of a rate R each capacity lies on,
-so `selective_capacity_batch` given ``rate=R`` screens each chunk in
-float32 first and keeps those capacities when each lies farther from R
-than its margin; any other chunk is recomputed in float64 exactly as
-without a rate.  The margin bounds ``|C32 - C64|``.  With
-``A_k = I + c G(k)``, ``lambda_min(A_k) >= 1`` and
+so `selective_capacity_batch` given ``rate=R`` screens the stack in
+float32 first.  complex64 halves a realization's bytes, so one float32
+call covers a span of two float64 chunks, and each float64 chunk of the
+span is decided on its own: it keeps its float32 capacities when each
+lies farther from R than its margin, and is otherwise recomputed in
+float64 exactly as without a rate.  The margin bounds ``|C32 - C64|``.
+With ``A_k = I + c G(k)``, ``lambda_min(A_k) >= 1`` and
 ``||A_k|| <= 1 + c ||H(k)||_F^2 <= kappa = 1 + c L tr R_0``, since
 ``||H(k)||_F <= sum_l ||T_l||_F``; so ``kappa`` bounds the condition
 number of every bin.  Forming ``A_k`` and eliminating it in float32 is
@@ -69,6 +71,7 @@ test over extreme SNR and near-singular and rescaled taps.  A trial with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -185,21 +188,34 @@ def _inverse_diagonal(entries):
         if piv[j].size and not (piv[j].min() > 0.0 and piv[j].max() < np.inf):
             raise NumericalError("elimination hit a nonpositive or non-finite pivot")
         for i in range(j + 1, m):
-            schur[j, i] = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
-            piv[i] -= schur[j, i]
+            if m == 2:
+                # nothing reads this pair's rows again: its term takes their place
+                term = np.multiply(re[j, i], re[j, i], out=re[j, i])
+                term += np.multiply(im[j, i], im[j, i], out=im[j, i])
+                term /= piv[j]
+            else:
+                term = (re[j, i] * re[j, i] + im[j, i] * im[j, i]) / piv[j]
+            piv[i] -= term
+            # back-substitution reuses only the Schur term off the next pivot;
+            # every other temporary is released as soon as it is used
+            if i == j + 1:
+                schur[j] = term
+            del term
             if i + 1 < m:
                 # G_ik -= conj(w_ji) w_jk / D_j right of pivot i
                 ur, ui = re[j, i] / piv[j], im[j, i] / piv[j]
                 for k in range(i + 1, m):
                     re[i, k] -= ur * re[j, k] + ui * im[j, k]
                     im[i, k] -= ur * im[j, k] - ui * re[j, k]
+                del ur, ui
     recip = {k: 1.0 / piv[k] for k in range(min(1, m - 1), m - 1)}
     recip[m - 1] = np.divide(1.0, piv[m - 1], out=piv[m - 1])
     for j in reversed(range(m - 1)):
         # entry (j, k) becomes -z_jk = w_jk - sum_l (w_jl / D_l) (-z_lk)
         scaled = {l: (re[j, l] * recip[l], im[j, l] * recip[l])
                   for l in range(j + 1, m - 1)}
-        total = schur[j, j + 1] * recip[j + 1]
+        total = schur.pop(j)
+        total *= recip[j + 1]
         for k in range(j + 2, m):
             for l in range(j + 1, k):
                 (sr, si), zr, zi = scaled[l], re[l, k], im[l, k]
@@ -289,15 +305,27 @@ def _tap_autocorrelation(taps):
     return lags
 
 
-def _bin_basis(n_taps, n_bins):
-    """(2L-1, K) basis: ones, then cos and sin of 2 pi k d / K for d = 1..L-1."""
-    angle = (2.0 * np.pi / n_bins) * (
-        np.outer(np.arange(1, n_taps), np.arange(n_bins)) % n_bins)
-    return np.concatenate([np.ones((1, n_bins)), np.cos(angle), np.sin(angle)])
+@functools.lru_cache(maxsize=16)
+def _bin_plan(n_taps, m, bins, real):
+    """Constants of `_mse` for one shape, built once and read-only.
+
+    Returns the (K, 2L-1) basis the lag coefficients are multiplied by, in
+    the real dtype ``real``: row k holds 1, then ``cos(2 pi k d / K)`` and
+    then ``sin(2 pi k d / K)`` for d = 1..L-1.  Then the diagonal and the
+    upper-triangle indices of an M x M matrix.
+    """
+    angle = (2.0 * np.pi / bins) * (
+        np.outer(np.arange(1, n_taps), np.arange(bins)) % bins)
+    basis = np.concatenate([np.ones((1, bins)), np.cos(angle), np.sin(angle)])
+    basis = basis.astype(real, copy=False)
+    diag, upper = np.diag_indices(m), np.triu_indices(m, 1)
+    for arr in (basis, *diag, *upper):
+        arr.flags.writeable = False
+    return basis.T, diag, upper
 
 
 def _gram_coefficients(taps, c):
-    """Coefficients of ``I + c G(k)`` against `_bin_basis`, shape (2L-1, M, M, n).
+    """Coefficients of ``I + c G(k)`` against the basis of `_bin_plan`, (2L-1, M, M, n).
 
     With ``R_{-d} = R_d^H`` the lag pair d, -d contributes
     ``(R_d + R_d^H) cos(2 pi k d / K) - i (R_d - R_d^H) sin(2 pi k d / K)``,
@@ -353,16 +381,17 @@ def _mse(taps, rho, n_bins=1, scaling="per-tap"):
     real = taps.real.dtype
     # in the taps' precision: a float64 c would promote complex64 products
     c = real.type(noise_scaling(rho, m, n_taps, scaling))
-    bins = n_bins if n_taps > 1 else 1
+    basis_t, diag, upper = _bin_plan(n_taps, m, n_bins if n_taps > 1 else 1, real)
     # realizations last, as `_tap_autocorrelation` expects
-    stack = np.moveaxis(taps.reshape(-1, n_taps, n_rx, m), 0, -1)
-    coefs = np.moveaxis(_gram_coefficients(np.ascontiguousarray(stack), c), 0, 2)
-    basis = _bin_basis(n_taps, bins).astype(real, copy=False)
-    diag, upper = np.diag_indices(m), np.triu_indices(m, 1)
+    stack = taps.reshape(-1, n_taps, n_rx, m).transpose(1, 2, 3, 0)
+    # (2L-1, M, M, n) coefficients to (M, M, 2L-1, n)
+    coefs = _gram_coefficients(np.ascontiguousarray(stack), c).transpose(1, 2, 0, 3)
+    rows = np.concatenate([coefs[diag].real, coefs[upper].real, coefs[upper].imag])
+    del coefs  # freed before the product's output, the call's largest array
     # one batched product, (K, 2L-1) @ (M^2, 2L-1, n): an entry-major
     # (M^2, K, n) stack, each entry's rows contiguous for the elimination
-    entries = basis.T @ np.concatenate(
-        [coefs[diag].real, coefs[upper].real, coefs[upper].imag])
+    entries = basis_t @ rows
+    del rows
     # in C order: a sum over M >= 8 streams takes another order on a transpose
     return _inverse_diagonal(entries).mean(axis=1).T.copy().reshape(*lead, m)
 
@@ -391,7 +420,7 @@ def selective_sinrs(taps, rho, n_bins, scaling="per-tap"):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _float32_capacity(part, rho, n_bins, scaling):
-    """Float32 capacities of a chunk of (L, N, M) taps and their margins.
+    """Float32 capacities of a span of (L, N, M) taps and their margins.
 
     Returns ``(capacity, margin)`` as float64 arrays, the capacities holding
     float32 values, or None when the float32 elimination refuses a pivot or
@@ -400,12 +429,16 @@ def _float32_capacity(part, rho, n_bins, scaling):
     margin's bin count is the block length K, which is at least the number
     of bins `_mse` averages (one when L = 1).
     """
+    # cast while copying into the realizations-last layout `_mse` works in,
+    # so that `_mse` takes the complex64 taps without a copy of its own
+    taps32 = part.transpose(1, 2, 3, 0).astype(np.complex64, order="C")
     try:
-        mse = _mse(part.astype(np.complex64), rho, n_bins, scaling)
+        mse = _mse(taps32.transpose(3, 0, 1, 2), rho, n_bins, scaling)
     except NumericalError:
         return None
-    # log2(1 + SINR) with the SINR clamped at zero
-    cap = np.sum(np.log2(np.maximum(1.0 / mse, 1.0)), axis=-1)
+    # log2(1 + SINR) with the SINR clamped at zero, summed column by column:
+    # numpy's reduction over a short last axis costs 20 times as much
+    cap = functools.reduce(np.add, np.log2(np.maximum(1.0 / mse, 1.0)).T)
     if not np.all(np.isfinite(cap)):
         return None
     n_taps, _, m = part.shape[-3:]
@@ -427,14 +460,16 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
     Non-finite taps raise `ValueError`, as in `selective_sinrs`, once the
     elimination of their chunk has failed.
 
-    With a ``rate``, each chunk is first computed in float32 (the screen
-    of the module docstring).  A chunk whose every float32 capacity lies
-    farther from ``rate`` than its error margin returns those float32
-    values, each on the same side of ``rate`` as its float64 capacity;
-    any other chunk returns exactly the float64 capacities it returns
-    without a rate.  So ``capacity < rate`` is the float64 decision for
-    every realization.  A float32 failure (refused pivot, NaN, inf) only
-    sends its chunk to float64, which raises as it would without a rate.
+    With a ``rate``, the stack is first computed in float32 (the screen
+    of the module docstring), one call per span of two chunks, and each
+    chunk of a span is decided on its own.  A chunk whose every float32
+    capacity lies farther from ``rate`` than its error margin returns those
+    float32 values, each on the same side of ``rate`` as its float64
+    capacity; any other chunk returns exactly the float64 capacities it
+    returns without a rate.  So ``capacity < rate`` is the float64 decision
+    for every realization.  A float32 failure (refused pivot, NaN, inf)
+    only sends the chunks of its span to float64, which raises as it would
+    without a rate.
     """
     taps = np.asarray(taps, dtype=complex)
     n_bins = _check_block_length(taps.shape, n_bins)
@@ -443,20 +478,29 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
     chunk = _capacity_chunk_size((n_taps, n_rx, m), n_bins)
     stack = taps.reshape(-1, n_taps, n_rx, m)
     cap = np.empty(len(stack))
+    # complex64 halves a realization's bytes: one float32 call takes two chunks
+    span = chunk if rate is None else 2 * chunk
     # at least one call, so that an empty stack has its arguments checked too
-    for lo in range(0, max(len(stack), 1), chunk):
-        part = stack[lo:lo + chunk]
-        screen = None if rate is None else _float32_capacity(part, rho, n_bins, scaling)
-        if screen is not None and np.all(np.abs(screen[0] - rate) > screen[1]):
-            cap[lo:lo + chunk] = screen[0]
-            continue
-        try:
-            mse = _mse(part, rho, n_bins, scaling)
-        except NumericalError:
-            # non-finite taps end in a failed pivot; finite ones pay no scan
-            _check_finite(part, "channel taps")
-            raise
-        cap[lo:lo + chunk] = np.sum(np.log2(1.0 + _sinrs_from_mse(mse)), axis=-1)
+    end = max(len(stack), 1)
+    for start in range(0, end, span):
+        screen = None if rate is None else _float32_capacity(
+            stack[start:start + span], rho, n_bins, scaling)
+        if screen is not None:
+            c32, sure = screen[0], np.abs(screen[0] - rate) > screen[1]
+        # each chunk of the span is decided on its own
+        for lo in range(start, min(start + span, end), chunk):
+            part, own = stack[lo:lo + chunk], slice(lo - start, lo - start + chunk)
+            if screen is not None and np.all(sure[own]):
+                cap[lo:lo + chunk] = c32[own]
+                continue
+            try:
+                mse = _mse(part, rho, n_bins, scaling)
+            except NumericalError:
+                # non-finite taps end in a failed pivot; finite ones pay no scan
+                _check_finite(part, "channel taps")
+                raise
+            # np.sum, not column sums: from M = 8 on those add in another order
+            cap[lo:lo + chunk] = np.sum(np.log2(1.0 + _sinrs_from_mse(mse)), axis=-1)
     # [()] returns a single realization's capacity as a scalar, as a sum does
     return cap.reshape(lead)[()]
 

@@ -5,8 +5,10 @@ autocorrelation instead of the per-bin channels; these tests hold it to a
 per-bin reference built from `transfer_function` at every L, L = 1 (flat
 fading) included, and to monotonicity in the SNR.  The chunking of
 `selective_capacity_batch` is held to its chunk-sized calls, and bounds on
-the memory of one capacity call and of one outage-kernel call, for a
-selective and a flat link, cover it.
+the memory of one chunk-sized `_mse` call, of one capacity call and of one
+outage-kernel call, for a selective and a flat link, cover it.  The
+per-shape constants of `_mse` are cached read-only and give the bits of a
+fresh build.
 """
 
 import tracemalloc
@@ -142,3 +144,46 @@ def test_outage_kernel_memory_is_bounded(cfg, n_trials, limit_mib, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+@pytest.mark.parametrize("m, n_taps, n_bins, limit_mib", [
+    # tracemalloc peaks of one chunk-sized float64 `_mse` call: 2.10, 3.56,
+    # 3.26 and 2.95 MiB; with every Schur term and elimination temporary
+    # held to the end of the call, and the M = 2 Schur term in a fresh
+    # array, they were 3.19, 4.86, 4.57 and 3.99 MiB
+    (2, 2, 64, 2.5),
+    (3, 2, 64, 4.0),
+    (4, 3, 64, 4.0),
+    (8, 4, 256, 3.5),
+], ids=["2x2", "3x3", "4x4", "8x8"])
+def test_chunk_mse_memory_is_bounded(m, n_taps, n_bins, limit_mib):
+    chunk = mmse._capacity_chunk_size((n_taps, m, m), n_bins)
+    taps = sample_complex_gaussian(m, m, derive_stream(0, m), size=(chunk, n_taps))
+    mmse._mse(taps, 10.0, n_bins)  # the cached per-shape plan is no temporary
+    tracemalloc.start()
+    try:
+        mmse._mse(taps, 10.0, n_bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
+def test_bin_plan_is_read_only_and_keyed_by_shape():
+    basis_t, diag, upper = mmse._bin_plan(2, 3, 16, np.dtype(np.float64))
+    for arr in (basis_t, basis_t.base, *diag, *upper):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # (L, K, dtype) plans used in turn give the bits of calls on a fresh cache
+    cases = [(1, 1, np.complex128), (2, 64, np.complex64), (3, 16, np.complex128),
+             (2, 64, np.complex128), (3, 16, np.complex64)]
+    taps = {n_taps: sample_complex_gaussian(3, 3, derive_stream(1, n_taps),
+                                            size=(40, n_taps)) for n_taps in (1, 2, 3)}
+    fresh = []
+    for n_taps, n_bins, dtype in cases:
+        mmse._bin_plan.cache_clear()
+        fresh.append(mmse._mse(taps[n_taps].astype(dtype), 10.0, n_bins))
+    for _ in range(2):
+        for (n_taps, n_bins, dtype), want in zip(cases, fresh):
+            got = mmse._mse(taps[n_taps].astype(dtype), 10.0, n_bins)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,11 +1,12 @@
 """The float32 screen of `selective_capacity_batch(..., rate=R)`.
 
-Each capacity chunk is decided in float32 when every capacity lies farther
-from R than its margin, and recomputed in float64 otherwise.  These tests
-check the margin against float64 over extreme SNR and near-singular and
-rescaled taps, that a screened call decides every realization as float64
-does, and that a chunk the screen cannot decide, or whose float32
-computation fails, returns the float64 capacities bit for bit.
+The screen computes spans of two capacity chunks in float32; each chunk is
+decided in float32 when every capacity lies farther from R than its margin,
+and recomputed in float64 otherwise.  These tests check the margin against
+float64 over extreme SNR and near-singular and rescaled taps, that a
+screened call decides every realization as float64 does, and that a chunk
+the screen cannot decide, or whose float32 computation fails, returns the
+float64 capacities bit for bit.
 """
 
 import warnings
@@ -64,13 +65,18 @@ def a1_taps(n, seed):
     return sample_complex_gaussian(2, 2, derive_stream(809, seed), size=(n, 2))
 
 
-def test_undecided_chunk_is_the_float64_chunk():
+def test_undecided_chunk_is_the_float64_chunk(monkeypatch):
     # three 1,024-realization chunks at M = N = 2, L = 2, K = 64; the rate
     # sits on the lowest capacity of the middle chunk, in the sparse tail
     taps = a1_taps(3000, 0)
     plain = selective_capacity_batch(taps, 60.0, 64)
     rate = np.min(plain[1024:2048])
+    calls, mse = [], mmse._mse
+    monkeypatch.setattr(mmse, "_mse", lambda taps, *args: calls.append(
+        (taps.dtype, len(taps))) or mse(taps, *args))
     screened = selective_capacity_batch(taps, 60.0, 64, rate=rate)
+    # float32 calls over spans of two chunks; only the middle chunk is recomputed
+    assert calls == [(np.complex64, 2048), (np.complex128, 1024), (np.complex64, 952)]
     assert np.array_equal(screened[1024:2048], plain[1024:2048])
     # the outer chunks were decided in float32: the values are float32's
     for part in (slice(0, 1024), slice(2048, None)):
