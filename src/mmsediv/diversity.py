@@ -181,7 +181,14 @@ _BLOCK_DRAW_BYTES = 256 * 2**20
 
 
 def _count_below(statistic, threshold, dims, rho, rng, n_trials):
-    """Number of trials whose ``statistic(taps, rho) < threshold``.
+    """Number of trials whose ``statistic(taps, rho, threshold) < threshold``.
+
+    A statistic is handed the threshold it is compared with and may return,
+    for each trial, any value on the same side of the threshold as its
+    exact value: the float32 outage screen (`_capacity`) and the trace
+    screen of the m = M Wishart tails (`mmsediv.wishart`) decide most
+    trials without computing the exact value, so every count is the exact
+    statistic's count.
 
     A trial is L standard complex Gaussian N x M taps, ``dims = (N, M, L)``.
     They are drawn from ``rng`` in turn, in slices of at most
@@ -195,17 +202,17 @@ def _count_below(statistic, threshold, dims, rho, rng, n_trials):
     count = 0
     for lo in range(0, n_trials, step):
         taps = sample_complex_gaussian(N, M, rng, size=(min(step, n_trials - lo), L))
-        count += int(np.count_nonzero(statistic(taps, rho) < threshold))
+        count += int(np.count_nonzero(statistic(taps, rho, threshold) < threshold))
     return count
 
 
-def _capacity(taps, rho, cfg):
+def _capacity(taps, rho, rate, cfg):
     """The outage statistic; `mmse` is looked up at call time, not bound.
 
-    With ``rate=R`` a capacity may be a float32 value, but always on the
-    float64 capacity's side of R, so every outage decision is float64's.
+    A capacity may be a float32 value, but always on the float64
+    capacity's side of ``rate``, so every outage decision is float64's.
     """
-    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling, rate=cfg.R)
+    return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling, rate=rate)
 
 
 def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):

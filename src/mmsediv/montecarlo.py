@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,8 +263,12 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         if snr_db.shape != rho.shape:
             raise ConfigurationError("snr_db grid must match the rho grid")
     n_workers = resolve_workers(workers)
-    # one worker runs every block inline: no pool starts, nothing is pickled
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    # one worker runs every block inline: no pool starts, nothing is pickled,
+    # and `multiprocessing` is never imported
+    pool = None
+    if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=n_workers)
     try:
         points = _sweep(kernel, rho, snr_db, policy, master_seed,
                         pool.submit if pool else _run_inline, n_workers)

@@ -18,8 +18,44 @@ For M = 2 the spectrum has a closed form in the columns ``x``, ``y`` of
 ``lambda_min = det / lambda_max``, where ``det`` is the sum of the squared
 2 x 2 minors of ``H`` (Cauchy-Binet), so a small ``lambda_min`` loses
 nothing to cancellation.  Other M go through ``eigvalsh``.  Every tail
-event is decided once, on that spectrum: at M = 2 the closed form decides
-it.
+event is decided as that spectrum decides it: at M = 2 the closed form
+decides it.
+
+Trace screen (m = M).  With ``t = tr(H^H H) = sum_k lambda_k``, the sum
+of all M eigenvalues is t and ``t / M <= lambda_M``.  So for m = M each
+statistic first takes the bound ``B = rho t`` (sum tail) or
+``B = rho t / M`` (m-th eigenvalue) and computes spectra only for the rows
+the bound leaves open.  The sum tail decides a row when
+``|B - b| > s b``; the m-th eigenvalue decides a non-event when
+``B > (1 + s) b``.  A NaN or infinite bound decides nothing, so such rows
+take the spectral path as they always did.  The relative slack ``s``
+covers the rounding of both sides.  With u = 2^-53:
+
+* the trace is a sum of 2NM squares, within ``2NM u t`` of t, and the
+  products with rho and 1/M add 3u relative to B;
+* the closed-form ``lambda_max`` is within ``(6N + 8) u t`` (its sums a,
+  d, ``|x^H y|`` and the hypot), and ``lambda_min = det / lambda_max``
+  within ``(N^2 / 4 + 8) u t + (12N + 17) u lambda_min``: ``det`` is a sum
+  of N(N-1)/2 squared minors, each within
+  ``8 u (|x_i||y_j| + |x_j||y_i|)^2``, which add up to at most
+  ``4 u t^2``, and ``lambda_max >= t / 2``;
+* ``eigvalsh`` works on a Gram matrix whose entries are dot products of
+  length N, within ``(2N + 2) u t`` in Frobenius norm, and returns the
+  eigenvalues of a matrix within ``p(M) u t`` of that, with p(M) <= M^2
+  for LAPACK's symmetric solvers; by Weyl each computed eigenvalue is
+  within ``(2N + 2 + M^2) u t`` of its exact value.
+
+So the computed sum statistic lies within ``kappa u B`` of B, and the
+computed m-th eigenvalue statistic is at least ``(1 - kappa u) B``, with
+``kappa <= N^2 / 4 + 16N + 28`` through the closed form and
+``kappa <= M (4N + 3 + M^2) + 3`` through ``eigvalsh``, both below
+``40 (N + M)^3``.  `_trace_slack` takes ``s = 2^-40 (N + M)^3``, which is
+``2^13 (N + M)^3 u``, at least 200 times ``kappa u``: at M = N = 2,
+``s = 5.8e-11`` against ``kappa u < 1e-14``.  A decided row's B therefore
+lies on the side of b where its spectral statistic lies, and every count
+is the count the spectra give.  Rows the bound decides never reach
+``eigvalsh``, so the ``_EIG_SLACK`` check applies to every spectrum that
+is computed, and only to those.  For m < M no trace is taken.
 
 The normalization constant of the joint density is never computed; density
 checks normalize numerically over a compact box.
@@ -57,7 +93,11 @@ def _check_dims(M, N):
 
 
 def _eigvalsh_spectra(h):
-    """Ascending eigenvalues of H^H H by ``eigvalsh``, clamped at zero."""
+    """Ascending eigenvalues of H^H H by ``eigvalsh``, clamped at zero.
+
+    The ``_EIG_SLACK`` check covers every spectrum computed here; tail rows
+    that the m = M trace bound decides never get here (module docstring).
+    """
     eigs = np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h))
     if np.any(eigs < _EIG_SLACK * eigs[..., -1:]):
         raise NumericalError(
@@ -140,14 +180,38 @@ def log_density_unnormalized(eigenvalues, N):
     return value
 
 
-# Tail statistics of one-tap draws (n, 1, N, M); module-level, so that a
-# kernel pickles
-def _sum_statistic(taps, rho, m):
-    return rho * _spectra(taps[:, 0])[:, :m].sum(axis=1)
+def _trace(h):
+    """tr(H^H H) of each matrix of an (n, N, M) stack: the sum of its 2NM squares."""
+    v = h.view(np.float64)
+    return np.einsum("inj,inj->i", v, v)
 
 
-def _mth_statistic(taps, rho, m):
-    return rho * _spectra(taps[:, 0])[:, m - 1]
+def _trace_slack(h):
+    """Relative margin by which a trace bound must clear b (module docstring)."""
+    return 2.0**-40 * sum(h.shape[-2:]) ** 3
+
+
+# Tail statistics of one-tap draws (n, 1, N, M), each compared with b; at
+# m = M the trace decides most rows (module docstring).  Module-level, so
+# that a kernel pickles.
+def _sum_statistic(taps, rho, b, m):
+    h = taps[:, 0]
+    if m < h.shape[-1]:
+        return rho * _spectra(h)[:, :m].sum(axis=1)
+    stat = rho * _trace(h)
+    open_ = ~((np.abs(stat - b) > _trace_slack(h) * b) & (stat < np.inf))
+    stat[open_] = rho * _spectra(h[open_]).sum(axis=1)
+    return stat
+
+
+def _mth_statistic(taps, rho, b, m):
+    h = taps[:, 0]
+    if m < h.shape[-1]:
+        return rho * _spectra(h)[:, m - 1]
+    stat = rho * _trace(h) / m
+    open_ = ~((stat > (1.0 + _trace_slack(h)) * b) & (stat < np.inf))
+    stat[open_] = rho * _spectra(h[open_])[:, m - 1]
+    return stat
 
 
 def _tail_curve(kind, statistic, M, N, m, b, rho_grid, policy, master_seed, workers):

@@ -1,10 +1,14 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mmsediv
 from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      ConfigurationError, CurvePoint, FitWindow,
                      InsufficientDataError, NumericalHealthWarning,
@@ -343,7 +347,7 @@ class TestEstimateOutage:
         def no_pool(*args, **kwargs):
             pytest.fail("a worker pool opened for an invalid seed")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigurationError, match="master_seed"):
             estimate(seed)
 
@@ -360,9 +364,24 @@ class TestEstimateOutage:
         def no_pool(*args, **kwargs):
             pytest.fail("a worker pool opened for an invalid worker count")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigurationError, match="workers"):
             estimate_outage(SystemConfig(M=2, N=2, R=1.0), [0.0], workers=workers)
+
+    def test_one_worker_never_imports_multiprocessing(self):
+        # the pool module is imported only for a multi-worker sweep
+        code = ("import sys, mmsediv\n"
+                "loaded = lambda: 'multiprocessing' in sys.modules\n"
+                "assert not loaded(), 'import'\n"
+                "mmsediv.tail_sum_probability(1, 1, 1, 1.0, [1.0], mmsediv.TrialPolicy(\n"
+                "    max_trials=100, target_events=1, block_trials=100))\n"
+                "assert not loaded(), 'one-worker sweep'\n")
+        src = os.path.dirname(os.path.dirname(mmsediv.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_refused(self, workers):
@@ -389,7 +408,7 @@ class TestEstimateOutage:
                                 "block_trials=20000)")
 
 
-def _float64_capacity(taps, rho, cfg):
+def _float64_capacity(taps, rho, rate, cfg):
     """`diversity._capacity` without the float32 screen."""
     return mmse.selective_capacity_batch(taps, rho, cfg.K, cfg.scaling)
 
@@ -443,7 +462,7 @@ def _sliced_kernel(monkeypatch, kind, budget_trials):
 
     def count(rng, n_trials):
         taps = sample_complex_gaussian(N, M, rng, size=(n_trials, L))
-        return int(np.count_nonzero(statistic(taps, 10.0) < threshold))
+        return int(np.count_nonzero(statistic(taps, 10.0, threshold) < threshold))
 
     return kernel, count
 

@@ -134,17 +134,19 @@ class TestTailKernel:
         lam = wishart._spectra(h)
         parts = [wishart._spectra(h[lo:lo + chunk]) for lo in (0, chunk)]
         assert np.array_equal(lam, np.concatenate(parts))
-        # a threshold halfway between two order statistics near the median,
-        # so that no trial lies within rounding of it
         stat = (lam[:, :2].sum(axis=1) if estimator is tail_sum_probability
                 else lam[:, 1])
         ranked = np.sort(stat)
-        b = float(0.5 * (ranked[n // 2] + ranked[n // 2 + 1]))
         # the kernel the estimator hands to the block engine
         monkeypatch.setattr(wishart, "estimate_binomial_curve",
                             lambda kernel, *args, **kwargs: kernel)
-        kernel = estimator(M, N, 2, b, [1.0])
-        assert kernel(1.0, rng_for(40, M, N), n) == np.count_nonzero(stat < b)
+        # thresholds halfway between two order statistics, so that no trial
+        # lies within rounding of them: near the median, and near the 1 %
+        # quantile, where the trace bound decides most m = M rows
+        for k in (n // 2, n // 100):
+            b = float(0.5 * (ranked[k] + ranked[k + 1]))
+            kernel = estimator(M, N, 2, b, [1.0])
+            assert kernel(1.0, rng_for(40, M, N), n) == np.count_nonzero(stat < b)
 
     def test_spectra_memory_is_bounded(self):
         for M, n, limit_mib in [
@@ -163,6 +165,72 @@ class TestTailKernel:
             finally:
                 tracemalloc.stop()
             assert peak < limit_mib * 2**20, (M, peak)
+
+
+def _walk_ulps(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.copysign(np.inf, ulps))
+    return x
+
+
+def _events(decide):
+    """Event flags from ``decide()``, or the error type it raises.  NaN and
+    infinite taps make both paths form inf - inf or 0 * inf; only the
+    decisions are compared."""
+    with np.errstate(invalid="ignore"):
+        try:
+            return decide().tolist()
+        except np.linalg.LinAlgError as err:
+            return type(err)
+
+
+class TestTraceScreen:
+    """At m = M the trace bound decides most rows; every decision, and every
+    error, is the one the spectra give."""
+
+    @pytest.mark.parametrize("tail", ["sum", "mth"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["N=M", "N=M+1"])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.integers(0, 30),
+           log_rho=st.floats(-3.0, 3.0),
+           shape=st.sampled_from(["generic", "zero-column", "equal-columns",
+                                  "orthonormal", "nan", "inf"]),
+           anchor=st.sampled_from(["bound", "exact"]), ulps=st.integers(-4, 4))
+    def test_screened_decisions_are_the_spectrum_decisions(
+            self, M, extra, tail, seed, log_scale, log_rho, shape, anchor, ulps):
+        rng = np.random.default_rng(seed)
+        n, N = 64, M + extra
+        taps = sample_complex_gaussian(N, M, rng, size=(n, 1))
+        # rows scaled by 10^k, |k| <= log_scale
+        taps *= 10.0 ** rng.integers(-log_scale, log_scale + 1, size=(n, 1, 1, 1))
+        if shape == "zero-column":
+            taps[::2, ..., -1] = 0.0
+        elif shape == "equal-columns":
+            taps[::2, ..., -1] = taps[::2, ..., 0]
+        elif shape == "orthonormal":
+            # equal eigenvalues: lambda_M = t / M, the m-th eigenvalue bound
+            taps[::2] = np.linalg.qr(taps[::2])[0]
+        elif shape in ("nan", "inf"):
+            taps[::5, 0, 0, 0] = float(shape)
+        h, rho = taps[:, 0], 10.0 ** log_rho
+        statistic, spectral = {
+            "sum": (wishart._sum_statistic,
+                    lambda: rho * wishart._spectra(h)[:, :M].sum(axis=1)),
+            "mth": (wishart._mth_statistic,
+                    lambda: rho * wishart._spectra(h)[:, M - 1]),
+        }[tail]
+        with np.errstate(invalid="ignore"):
+            bound = rho * wishart._trace(h) / (M if tail == "mth" else 1)
+            try:
+                exact = spectral()
+            except np.linalg.LinAlgError:  # non-finite taps through eigvalsh
+                exact = bound
+        # a threshold within a few ulps of one row's bound or exact statistic
+        row = int(rng.integers(n))
+        b = float(_walk_ulps({"bound": bound, "exact": exact}[anchor][row], ulps))
+        assert (_events(lambda: statistic(taps, rho, b, M) < b)
+                == _events(lambda: spectral() < b))
 
 
 class TestLogDensity:
