@@ -101,7 +101,7 @@ _NEG_SINR_SLACK = -1e-12
 _U32 = float(np.finfo(np.float32).eps) / 2
 _SCREEN_FACTOR = 64
 
-_health = {"clamped_beyond_slack": 0}
+_clamps = 0
 
 
 def numerical_health():
@@ -115,33 +115,32 @@ def numerical_health():
     can put an MSE past 1 by about 1e-7, which is no clamp.  A chunk that
     falls back to float64 is counted once, as without a rate.
     """
-    return dict(_health)
+    return {"clamped_beyond_slack": _clamps}
 
 
 def collect_health(fn, *args):
-    """Call ``fn(*args)`` on fresh counters; return ``(result, counters)``.
+    """Call ``fn(*args)`` on a fresh clamp count; return ``(result, clamps)``.
 
-    The global counters stay as they were and `NumericalHealthWarning` is
-    held back; `merge_health` accounts for the returned counters, possibly
-    in another process.
+    The global count stays as it was and `NumericalHealthWarning` is held
+    back; `merge_health` accounts for the returned clamps, possibly in
+    another process.
     """
-    global _health
-    outer = _health
-    _health = dict.fromkeys(outer, 0)
+    global _clamps
+    outer, _clamps = _clamps, 0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericalHealthWarning)
-            return fn(*args), _health
+            return fn(*args), _clamps
     finally:
-        _health = outer
+        _clamps = outer
 
 
-def merge_health(counters):
-    """Add counters returned by `collect_health`; warn again about their clamps."""
-    for key, value in counters.items():
-        _health[key] += value
-    if counters["clamped_beyond_slack"]:
-        warnings.warn(_clamp_warning(counters["clamped_beyond_slack"]), stacklevel=2)
+def merge_health(clamps):
+    """Add a clamp count returned by `collect_health`; warn again if nonzero."""
+    global _clamps
+    _clamps += clamps
+    if clamps:
+        warnings.warn(_clamp_warning(clamps), stacklevel=2)
 
 
 def _clamp_warning(count):
@@ -229,10 +228,11 @@ def _inverse_diagonal(entries):
 
 def _sinrs_from_mse(mse):
     """1/mse - 1, clamped at zero; counts clamps beyond the roundoff slack."""
+    global _clamps
     beta = 1.0 / mse - 1.0
     bad = int(np.count_nonzero(beta < _NEG_SINR_SLACK))
     if bad:
-        _health["clamped_beyond_slack"] += bad
+        _clamps += bad
         warnings.warn(_clamp_warning(bad), stacklevel=3)
     return np.maximum(beta, 0.0)
 

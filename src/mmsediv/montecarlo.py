@@ -136,13 +136,13 @@ class BinomialCurve:
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     """Event count of one block and the mmse clamp count it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
-    events, health = mmse.collect_health(kernel, rho, rng, n_trials)
+    events, clamps = mmse.collect_health(kernel, rho, rng, n_trials)
     if not (isinstance(events, numbers.Integral) and 0 <= events <= n_trials):
         raise ConfigurationError(
             f"kernel counted {events!r} events in {n_trials} trials at grid "
             f"point {point_index}, block {block_index}; need an integer in "
             f"[0, {n_trials}]")
-    return int(events), health
+    return int(events), clamps
 
 
 @dataclass(eq=False)
@@ -198,10 +198,10 @@ def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
             # consume strictly in block order, so worker count cannot matter;
             # results past the stopping block are dropped, errors included
             while run in open_runs and run.consumed in run.results:
-                count, health = run.results.pop(run.consumed).result()
+                count, clamps = run.results.pop(run.consumed).result()
                 run.consumed += 1
                 run.events += count
-                mmse.merge_health(health)
+                mmse.merge_health(clamps)
                 if run.events >= target or run.consumed == n_blocks:
                     open_runs.remove(run)
                     g, n, k = run.index, min(cap, run.consumed * size), run.events

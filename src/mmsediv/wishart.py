@@ -12,14 +12,8 @@ closed-form value ``m (N - M + m)``:
 Both are the one-tap case of the outage kernel `diversity._count_below`,
 with a spectral statistic and threshold b.
 
-For M = 2 the spectrum has a closed form in the columns ``x``, ``y`` of
-``H``: with ``a = |x|^2``, ``d = |y|^2`` and ``g = x^H y``,
-``lambda_max = (a + d + hypot(a - d, 2|g|)) / 2`` and
-``lambda_min = det / lambda_max``, where ``det`` is the sum of the squared
-2 x 2 minors of ``H`` (Cauchy-Binet), so a small ``lambda_min`` loses
-nothing to cancellation.  Other M go through ``eigvalsh``.  Every tail
-event is decided as that spectrum decides it: at M = 2 the closed form
-decides it.
+Spectra come from ``eigvalsh`` of the Gram matrix ``H^H H``, and every
+tail event is decided as that spectrum decides it.
 
 Trace screen (m = M).  With ``t = tr(H^H H) = sum_k lambda_k``, the sum
 of all M eigenvalues is t and ``t / M <= lambda_M``.  So for m = M each
@@ -28,17 +22,11 @@ statistic first takes the bound ``B = rho t`` (sum tail) or
 the bound leaves open.  The sum tail decides a row when
 ``|B - b| > s b``; the m-th eigenvalue decides a non-event when
 ``B > (1 + s) b``.  A NaN or infinite bound decides nothing, so such rows
-take the spectral path as they always did.  The relative slack ``s``
+take the spectral path, which refuses them.  The relative slack ``s``
 covers the rounding of both sides.  With u = 2^-53:
 
 * the trace is a sum of 2NM squares, within ``2NM u t`` of t, and the
   products with rho and 1/M add 3u relative to B;
-* the closed-form ``lambda_max`` is within ``(6N + 8) u t`` (its sums a,
-  d, ``|x^H y|`` and the hypot), and ``lambda_min = det / lambda_max``
-  within ``(N^2 / 4 + 8) u t + (12N + 17) u lambda_min``: ``det`` is a sum
-  of N(N-1)/2 squared minors, each within
-  ``8 u (|x_i||y_j| + |x_j||y_i|)^2``, which add up to at most
-  ``4 u t^2``, and ``lambda_max >= t / 2``;
 * ``eigvalsh`` works on a Gram matrix whose entries are dot products of
   length N, within ``(2N + 2) u t`` in Frobenius norm, and returns the
   eigenvalues of a matrix within ``p(M) u t`` of that, with p(M) <= M^2
@@ -47,13 +35,12 @@ covers the rounding of both sides.  With u = 2^-53:
 
 So the computed sum statistic lies within ``kappa u B`` of B, and the
 computed m-th eigenvalue statistic is at least ``(1 - kappa u) B``, with
-``kappa <= N^2 / 4 + 16N + 28`` through the closed form and
-``kappa <= M (4N + 3 + M^2) + 3`` through ``eigvalsh``, both below
-``40 (N + M)^3``.  `_trace_slack` takes ``s = 2^-40 (N + M)^3``, which is
-``2^13 (N + M)^3 u``, at least 200 times ``kappa u``: at M = N = 2,
-``s = 5.8e-11`` against ``kappa u < 1e-14``.  A decided row's B therefore
-lies on the side of b where its spectral statistic lies, and every count
-is the count the spectra give.  Rows the bound decides never reach
+``kappa <= M (4N + 3 + M^2) + 3 < 40 (N + M)^3``.  `_trace_slack` takes
+``s = 2^-40 (N + M)^3``, which is ``2^13 (N + M)^3 u``, at least 200
+times ``kappa u``: at M = N = 2, ``s = 5.8e-11`` against
+``kappa u < 1e-14``.  A decided row's B therefore lies on the side of b
+where its spectral statistic lies, and every count is the count the
+spectra give.  Rows the bound decides never reach
 ``eigvalsh``, so the ``_EIG_SLACK`` check applies to every spectrum that
 is computed, and only to those.  For m < M no trace is taken.
 
@@ -64,7 +51,6 @@ checks normalize numerically over a compact box.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 
 import numpy as np
 
@@ -82,7 +68,7 @@ __all__ = [
 
 # lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
-# `_spectra` chunk temporaries; a row takes 16 (N + 3) B at M = 2, else 16 M (N + M)
+# `_spectra` chunk temporaries; a row takes 16 M (N + M) B
 _SPECTRUM_BYTES = 65536 * 80
 
 
@@ -92,57 +78,34 @@ def _check_dims(M, N):
         raise ConfigurationError(f"need N >= M >= 1, got M={M}, N={N}")
 
 
-def _eigvalsh_spectra(h):
-    """Ascending eigenvalues of H^H H by ``eigvalsh``, clamped at zero.
-
-    The ``_EIG_SLACK`` check covers every spectrum computed here; tail rows
-    that the m = M trace bound decides never get here (module docstring).
-    """
-    eigs = np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", h.conj(), h))
-    if np.any(eigs < _EIG_SLACK * eigs[..., -1:]):
-        raise NumericalError(
-            f"eigensolver returned values below {_EIG_SLACK} lambda_max")
-    return np.maximum(eigs, 0.0)
-
-
-def _pair_spectra(h):
-    """Closed-form spectra of a (n, N, 2) stack (module docstring).
-
-    ``lambda_min`` is clamped to ``[0, lambda_max]``, which keeps every row
-    ascending when the two eigenvalues agree to rounding, and ``H = 0``
-    gives ``(0, 0)``.  It lies within a few ulps of ``lambda_max`` of the
-    ``eigvalsh`` spectrum.
-    """
-    x, y = h[..., 0], h[..., 1]
-    a = np.einsum("bn,bn->b", x.conj(), x).real
-    d = np.einsum("bn,bn->b", y.conj(), y).real
-    g = np.abs(np.einsum("bn,bn->b", x.conj(), y))
-    lam_max = 0.5 * (a + d + np.hypot(a - d, 2.0 * g))
-    # released before the minor loop: 80 in place of 104 B per row at N = 2
-    del a, d, g
-    det = 0.0
-    for i, j in combinations(range(h.shape[1]), 2):
-        minor = x[:, i] * y[:, j] - x[:, j] * y[:, i]
-        det = det + (minor.real * minor.real + minor.imag * minor.imag)
-    lam_min = np.divide(det, lam_max, out=np.zeros_like(lam_max),
-                        where=lam_max > 0.0)
-    return np.stack([np.minimum(lam_min, lam_max), lam_max], axis=1)
-
-
 def _spectrum_chunk(n_rx, m):
     """Rows of (N, M) draws per `_spectra` chunk; no spectrum depends on it."""
-    per_row = 16 * (n_rx + 3) if m == 2 else 16 * m * (n_rx + m)
-    return max(1, _SPECTRUM_BYTES // per_row)
+    return max(1, _SPECTRUM_BYTES // (16 * m * (n_rx + m)))
 
 
 def _spectra(h):
-    """Ascending eigenvalues of H^H H for a (n, N, M) stack, nonnegative:
-    closed form at M = 2, ``eigvalsh`` otherwise, `_spectrum_chunk` rows at a time."""
-    spectra = _pair_spectra if h.shape[-1] == 2 else _eigvalsh_spectra
+    """Ascending eigenvalues of H^H H for an (n, N, M) stack by ``eigvalsh``,
+    `_spectrum_chunk` rows at a time, clamped at zero.
+
+    A failed or non-finite eigensolve raises `NumericalError`.  The
+    ``_EIG_SLACK`` check covers every spectrum computed here; tail rows
+    that the m = M trace bound decides never get here (module docstring).
+    """
     chunk = _spectrum_chunk(*h.shape[-2:])
     lam = np.empty((len(h), h.shape[-1]))
     for lo in range(0, len(h), chunk):
-        lam[lo:lo + chunk] = spectra(h[lo:lo + chunk])
+        part = h[lo:lo + chunk]
+        try:
+            eigs = np.linalg.eigvalsh(np.einsum("bnj,bnk->bjk", part.conj(), part))
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"eigensolver failed: {err}") from err
+        # NaN or infinite entries give NaN eigenvalues at M <= 2, LinAlgError above
+        if not np.all(np.isfinite(eigs)):
+            raise NumericalError("eigensolver returned non-finite eigenvalues")
+        if np.any(eigs < _EIG_SLACK * eigs[..., -1:]):
+            raise NumericalError(
+                f"eigensolver returned values below {_EIG_SLACK} lambda_max")
+        np.maximum(eigs, 0.0, out=lam[lo:lo + chunk])
     return lam
 
 

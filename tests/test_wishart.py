@@ -56,13 +56,22 @@ class TestSpectrumSampling:
         # roundoff within _EIG_SLACK lambda_max is clamped to zero; below it
         # the eigensolver is not trusted
         h = sample_complex_gaussian(3, 3, rng_for(43), size=2)
-        lam = wishart._eigvalsh_spectra(h)
+        lam = wishart._spectra(h)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: lam.copy())
         lam[0, 0] = 0.5 * wishart._EIG_SLACK * lam[0, -1]
-        assert wishart._eigvalsh_spectra(h)[0, 0] == 0.0
+        assert wishart._spectra(h)[0, 0] == 0.0
         lam[0, 0] = 2.0 * wishart._EIG_SLACK * lam[0, -1]
         with pytest.raises(NumericalError, match="below"):
-            wishart._eigvalsh_spectra(h)
+            wishart._spectra(h)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_non_finite_rows_are_refused(self, M, value):
+        # eigvalsh gives NaN eigenvalues at M <= 2 and fails above
+        h = sample_complex_gaussian(M, M, rng_for(44, M), size=3)
+        h[1, 0, 0] = value
+        with pytest.raises(NumericalError, match="eigen"):
+            wishart._spectra(h)
 
 
 def mp_spectrum(h):
@@ -72,8 +81,9 @@ def mp_spectrum(h):
         return sorted(float(v) for v in mpmath.eigh(hm.H * hm, eigvals_only=True))
 
 
-class TestClosedFormSpectra:
-    """The closed-form M = 2 spectra that `wishart._spectra` returns."""
+class TestTwoColumnSpectra:
+    """M = 2 spectra from `wishart._spectra`: ordered, zero for H = 0, and
+    close to their 50-digit values."""
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_near_degenerate_rows_stay_ordered(self, N):
@@ -98,7 +108,7 @@ class TestClosedFormSpectra:
            shape=st.sampled_from(["generic", "rank-1", "rank-1+eps"]),
            log_eps=st.floats(-16.0, -2.0))
     def test_matches_mpmath(self, N, seed, log_scale, log_ratio, shape, log_eps):
-        # both paths within 1e-13 lambda_max of the 50-digit spectrum
+        # within 1e-13 lambda_max of the 50-digit spectrum
         rng = np.random.default_rng(seed)
 
         def column():
@@ -113,9 +123,8 @@ class TestClosedFormSpectra:
                 y = y + 10.0 ** log_eps * column()
         h = 10.0 ** log_scale * np.stack([x, 10.0 ** log_ratio * y], axis=1)
         exact = np.array(mp_spectrum(h))
-        for lam in (wishart._spectra(h[None])[0],
-                    wishart._eigvalsh_spectra(h[None])[0]):
-            assert np.all(np.abs(lam - exact) <= 1e-13 * exact[1])
+        lam = wishart._spectra(h[None])[0]
+        assert np.all(np.abs(lam - exact) <= 1e-13 * exact[1])
 
 
 class TestTailKernel:
@@ -128,7 +137,7 @@ class TestTailKernel:
     ], ids=["sum-N2", "mth-N2", "sum-N3", "mth-N3", "mth-M3-eigvalsh"])
     def test_count_spans_two_chunks(self, M, N, estimator, monkeypatch):
         chunk = wishart._spectrum_chunk(N, M)
-        n = chunk + 4464  # 70,000 at M = N = 2
+        n = chunk + 4464  # 45,424 at M = N = 2
         assert chunk < n < 2 * chunk
         h = sample_complex_gaussian(N, M, rng_for(40, M, N), size=n)
         lam = wishart._spectra(h)
@@ -148,13 +157,20 @@ class TestTailKernel:
             kernel = estimator(M, N, 2, b, [1.0])
             assert kernel(1.0, rng_for(40, M, N), n) == np.count_nonzero(stat < b)
 
+    @pytest.mark.parametrize("N, M, chunk", [
+        (2, 2, 40_960),  # 64 B of Gram entries and 64 B of conjugate a row
+        (8, 8, 2_560),
+    ])
+    def test_spectrum_chunk_size(self, N, M, chunk):
+        assert wishart._spectrum_chunk(N, M) == chunk
+
     def test_spectra_memory_is_bounded(self):
         for M, n, limit_mib in [
             # 300,000 M = 2 draws: the result takes 4.6 MiB, and one
-            # closed-form pass over the whole stack peaks near 30 MiB
+            # eigvalsh pass over the whole stack peaks near 37 MiB
             (2, 300_000, 12),
             # 10,000 M = N = 8 draws: the result takes 0.6 MiB, and one
-            # 65536-row chunk, sized for M = 2, would hold 2 kB a row
+            # 40,960-row chunk, sized for M = N = 2, would hold 2 kB a row
             (8, 10_000, 8),
         ]:
             h = sample_complex_gaussian(M, M, rng_for(41), size=n)
@@ -181,7 +197,7 @@ def _events(decide):
     with np.errstate(invalid="ignore"):
         try:
             return decide().tolist()
-        except np.linalg.LinAlgError as err:
+        except NumericalError as err:
             return type(err)
 
 
@@ -224,7 +240,7 @@ class TestTraceScreen:
             bound = rho * wishart._trace(h) / (M if tail == "mth" else 1)
             try:
                 exact = spectral()
-            except np.linalg.LinAlgError:  # non-finite taps through eigvalsh
+            except NumericalError:  # non-finite taps
                 exact = bound
         # a threshold within a few ulps of one row's bound or exact statistic
         row = int(rng.integers(n))
