@@ -44,12 +44,15 @@ cofactor/adjugate inversion is used anywhere on the primary path.  The
 path is dtype-generic: complex64 taps run every step in float32.
 
 An outage count asks only which side of a rate R each capacity lies on,
-so `selective_capacity_batch` given ``rate=R`` screens the stack in
-float32 first.  complex64 halves a realization's bytes, so one float32
-call covers a span of two float64 chunks, and each float64 chunk of the
-span is decided on its own: it keeps its float32 capacities when each
-lies farther from R than its margin, and is otherwise recomputed in
-float64 exactly as without a rate.  The margin bounds ``|C32 - C64|``.
+so `selective_capacity_batch` given ``rate=R`` makes two passes.  The
+first, the screen, computes the stack in float32, one call per span of
+two float64 chunks, as complex64 halves a realization's bytes.  It leaves
+undecided each realization whose float32 capacity lies within its margin
+of R, and every realization of a span whose float32 computation fails.
+The second recomputes in float64, exactly as without a rate, each chunk
+that holds an undecided realization.  The chunk, not the realization, is
+the unit: a float64 capacity keeps its bits only in a call of its own
+chunk (see `_capacity_chunk_size`).  The margin bounds ``|C32 - C64|``.
 With ``A_k = I + c G(k)``, ``lambda_min(A_k) >= 1`` and
 ``||A_k|| <= 1 + c ||H(k)||_F^2 <= kappa = 1 + c L tr R_0``, since
 ``||H(k)||_F <= sum_l ||T_l||_F``; so ``kappa`` bounds the condition
@@ -110,10 +113,11 @@ def numerical_health():
 
     A Monte Carlo sweep adds the counts of the blocks it consumes, in
     whichever process they ran, so its total does not depend on the worker
-    count (see `collect_health`).  A realization that the float32 screen
-    of `selective_capacity_batch` decides adds nothing: float32 roundoff
-    can put an MSE past 1 by about 1e-7, which is no clamp.  A chunk that
-    falls back to float64 is counted once, as without a rate.
+    count (see `collect_health`).  Only the float64 pass of
+    `selective_capacity_batch` counts: float32 roundoff in its screen can
+    put an MSE past 1 by about 1e-7, which is no clamp.  A chunk that the
+    screen leaves undecided is counted once, as without a rate; a chunk it
+    decides adds nothing.
     """
     return {"clamped_beyond_slack": _clamps}
 
@@ -423,11 +427,12 @@ def _float32_capacity(part, rho, n_bins, scaling):
     """Float32 capacities of a span of (L, N, M) taps and their margins.
 
     Returns ``(capacity, margin)`` as float64 arrays, the capacities holding
-    float32 values, or None when the float32 elimination refuses a pivot or
-    a capacity is not finite.  ``|capacity - C64| <= margin`` elementwise,
-    where C64 is the float64 capacity (see the module docstring); the
-    margin's bin count is the block length K, which is at least the number
-    of bins `_mse` averages (one when L = 1).
+    float32 values, with ``|capacity - C64| <= margin`` elementwise, where
+    C64 is the float64 capacity (see the module docstring); the margin's
+    bin count is the block length K, which is at least the number of bins
+    `_mse` averages (one when L = 1).  When the float32 elimination refuses
+    a pivot or a capacity is not finite, the span fails as a whole: every
+    margin is infinite and the capacities are placeholders.
     """
     # cast while copying into the realizations-last layout `_mse` works in,
     # so that `_mse` takes the complex64 taps without a copy of its own
@@ -435,12 +440,12 @@ def _float32_capacity(part, rho, n_bins, scaling):
     try:
         mse = _mse(taps32.transpose(3, 0, 1, 2), rho, n_bins, scaling)
     except NumericalError:
-        return None
+        return np.zeros(len(part)), np.full(len(part), np.inf)
     # log2(1 + SINR) with the SINR clamped at zero, summed column by column:
     # numpy's reduction over a short last axis costs 20 times as much
     cap = functools.reduce(np.add, np.log2(np.maximum(1.0 / mse, 1.0)).T)
     if not np.all(np.isfinite(cap)):
-        return None
+        return np.zeros(len(part)), np.full(len(part), np.inf)
     n_taps, _, m = part.shape[-3:]
     # c L tr R_0 = c L ||T||_F^2 bounds c ||H(k)||_F^2 in every bin
     re_im = np.ascontiguousarray(part).reshape(len(part), -1).view(np.float64)
@@ -460,47 +465,45 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
     Non-finite taps raise `ValueError`, as in `selective_sinrs`, once the
     elimination of their chunk has failed.
 
-    With a ``rate``, the stack is first computed in float32 (the screen
-    of the module docstring), one call per span of two chunks, and each
-    chunk of a span is decided on its own.  A chunk whose every float32
-    capacity lies farther from ``rate`` than its error margin returns those
-    float32 values, each on the same side of ``rate`` as its float64
-    capacity; any other chunk returns exactly the float64 capacities it
-    returns without a rate.  So ``capacity < rate`` is the float64 decision
-    for every realization.  A float32 failure (refused pivot, NaN, inf)
-    only sends the chunks of its span to float64, which raises as it would
-    without a rate.
+    The call makes two passes.  Only with a ``rate`` is there a first, the
+    float32 screen of the module docstring: one call per span of two
+    chunks writes float32 capacities into the result, and a realization
+    stays undecided when its capacity lies within its error margin of
+    ``rate``.  A span whose float32 computation fails (refused pivot, NaN,
+    inf) is undecided as a whole.  The second pass recomputes in float64,
+    exactly as without a rate, every chunk that holds an undecided
+    realization; without a rate every realization is undecided.  A float32
+    capacity that is kept lies on the same side of ``rate`` as its float64
+    capacity, so ``capacity < rate`` is the float64 decision for every
+    realization, and a failure raises as it would without a rate.
     """
     taps = np.asarray(taps, dtype=complex)
     n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
-    noise_scaling(rho, m, n_taps, scaling)  # refused here, not in the screen
     chunk = _capacity_chunk_size((n_taps, n_rx, m), n_bins)
     stack = taps.reshape(-1, n_taps, n_rx, m)
     cap = np.empty(len(stack))
-    # complex64 halves a realization's bytes: one float32 call takes two chunks
-    span = chunk if rate is None else 2 * chunk
-    # at least one call, so that an empty stack has its arguments checked too
-    end = max(len(stack), 1)
-    for start in range(0, end, span):
-        screen = None if rate is None else _float32_capacity(
-            stack[start:start + span], rho, n_bins, scaling)
-        if screen is not None:
-            c32, sure = screen[0], np.abs(screen[0] - rate) > screen[1]
-        # each chunk of the span is decided on its own
-        for lo in range(start, min(start + span, end), chunk):
-            part, own = stack[lo:lo + chunk], slice(lo - start, lo - start + chunk)
-            if screen is not None and np.all(sure[own]):
-                cap[lo:lo + chunk] = c32[own]
-                continue
-            try:
-                mse = _mse(part, rho, n_bins, scaling)
-            except NumericalError:
-                # non-finite taps end in a failed pivot; finite ones pay no scan
-                _check_finite(part, "channel taps")
-                raise
-            # np.sum, not column sums: from M = 8 on those add in another order
-            cap[lo:lo + chunk] = np.sum(np.log2(1.0 + _sinrs_from_mse(mse)), axis=-1)
+    # one entry at least, so that an empty stack has its arguments checked by a call
+    undecided = np.ones(max(len(stack), 1), dtype=bool)
+    if rate is not None:
+        # complex64 halves a realization's bytes: one float32 call takes two chunks
+        for lo in range(0, len(stack), 2 * chunk):
+            span = slice(lo, lo + 2 * chunk)
+            cap[span], margin = _float32_capacity(stack[span], rho, n_bins, scaling)
+            # not `<=`: a NaN rate leaves every realization undecided
+            undecided[span] = ~(np.abs(cap[span] - rate) > margin)
+    for lo in range(0, len(undecided), chunk):
+        if not undecided[lo:lo + chunk].any():
+            continue
+        part = stack[lo:lo + chunk]
+        try:
+            mse = _mse(part, rho, n_bins, scaling)
+        except NumericalError:
+            # non-finite taps end in a failed pivot; finite ones pay no scan
+            _check_finite(part, "channel taps")
+            raise
+        # np.sum, not column sums: from M = 8 on those add in another order
+        cap[lo:lo + chunk] = np.sum(np.log2(1.0 + _sinrs_from_mse(mse)), axis=-1)
     # [()] returns a single realization's capacity as a scalar, as a sum does
     return cap.reshape(lead)[()]
 

@@ -68,8 +68,9 @@ __all__ = [
 
 # lowest eigenvalue, relative to lambda_max, that `eigvalsh` may return
 _EIG_SLACK = -1e-12
-# `_spectra` chunk temporaries; a row takes 16 M (N + M) B
-_SPECTRUM_BYTES = 65536 * 80
+# `_spectra` chunk temporaries; a row takes 16 M (N + M) B, so a chunk
+# holds 40,960 rows at M = N = 2
+_SPECTRUM_BYTES = 5 * 2**20
 
 
 def _check_dims(M, N):

@@ -181,10 +181,15 @@ class TestOutage:
                 "--target-events", "20", "--seed", "5", "--d-tolerance", "10"]
         out1 = tmp_path / "w1.csv"
         out2 = tmp_path / "w2.csv"
+        out_auto = tmp_path / "wauto.csv"
         code1, _, _ = run(args + ["--workers", "1", "--out", str(out1)], capsys)
         code2, _, _ = run(args + ["--workers", "2", "--out", str(out2)], capsys)
-        assert code1 == code2
-        assert out1.read_bytes() == out2.read_bytes()
+        code_auto, _, _ = run(args + ["--workers", "auto", "--out", str(out_auto)],
+                              capsys)
+        assert code1 == code2 == code_auto
+        assert out1.read_bytes() == out2.read_bytes() == out_auto.read_bytes()
+        report = (tmp_path / "wauto.csv.report.txt").read_text()
+        assert "workers: auto\n" in report
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key,value", [("snr-stop", "inf"),
@@ -270,7 +275,7 @@ class TestOutage:
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("M=2\nN=2\nL=2\nK=64\nrate=3\n")
+        cfg.write_text("# A1 link\nM=2\nN=2\n\nL=2\nK=64\nrate=3\n")
         code, out, _ = run(["predict", "--config", str(cfg)], capsys)
         assert code == 0
         assert "diversity=3" in out

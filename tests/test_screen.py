@@ -1,12 +1,14 @@
 """The float32 screen of `selective_capacity_batch(..., rate=R)`.
 
-The screen computes spans of two capacity chunks in float32; each chunk is
-decided in float32 when every capacity lies farther from R than its margin,
-and recomputed in float64 otherwise.  These tests check the margin against
-float64 over extreme SNR and near-singular and rescaled taps, that a
-screened call decides every realization as float64 does, and that a chunk
-the screen cannot decide, or whose float32 computation fails, returns the
-float64 capacities bit for bit.
+A screened call makes two passes.  The first computes spans of two
+capacity chunks in float32 and leaves undecided every realization whose
+capacity lies within its margin of R, and every realization of a span
+whose float32 computation fails.  The second recomputes in float64 each
+chunk that holds an undecided realization.  These tests check the margin
+against float64 over extreme SNR and near-singular and rescaled taps, that
+a screened call decides every realization as float64 does, and that a
+chunk the screen leaves undecided, or whose span's float32 computation
+fails, returns the float64 capacities bit for bit.
 """
 
 import warnings
@@ -76,7 +78,7 @@ def test_undecided_chunk_is_the_float64_chunk(monkeypatch):
         (taps.dtype, len(taps))) or mse(taps, *args))
     screened = selective_capacity_batch(taps, 60.0, 64, rate=rate)
     # float32 calls over spans of two chunks; only the middle chunk is recomputed
-    assert calls == [(np.complex64, 2048), (np.complex128, 1024), (np.complex64, 952)]
+    assert calls == [(np.complex64, 2048), (np.complex64, 952), (np.complex128, 1024)]
     assert np.array_equal(screened[1024:2048], plain[1024:2048])
     # the outer chunks were decided in float32: the values are float32's
     for part in (slice(0, 1024), slice(2048, None)):
@@ -94,10 +96,22 @@ def test_float32_overflow_answers_as_float64(rho, scale, n_taps, n_bins):
     taps = sample_complex_gaussian(2, 2, derive_stream(810), size=(50, n_taps)) * scale
     plain = selective_capacity_batch(taps, rho, n_bins)
     assert np.all(np.isfinite(plain))
-    assert mmse._float32_capacity(taps, rho, n_bins, "per-tap") is None
+    assert np.all(mmse._float32_capacity(taps, rho, n_bins, "per-tap")[1] == np.inf)
     for rate in (3.0, float(np.median(plain))):
         got = selective_capacity_batch(taps, rho, n_bins, rate=rate)
         assert np.array_equal(got, plain)
+
+
+def test_infinite_float32_capacity_answers_as_float64():
+    # 1 + |h|^2 is float32's largest value: the pivot is finite, but its
+    # reciprocal MSE overflows, so the float32 capacity is inf (float64: 128)
+    h = np.sqrt(float(np.finfo(np.float32).max) - 1.0)
+    taps = np.full((1, 1, 1, 1), h, dtype=complex)
+    with np.errstate(over="ignore"):
+        assert 1.0 / mmse._mse(taps.astype(np.complex64), 1.0)[0, 0] == np.inf
+    plain = selective_capacity_batch(taps, 1.0, 1)
+    assert np.isfinite(plain[0])
+    assert np.array_equal(selective_capacity_batch(taps, 1.0, 1, rate=3.0), plain)
 
 
 def test_float32_roundoff_past_one_is_no_clamp():
