@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, diversity, mmse, verify
 from .exceptions import ConfigurationError, InsufficientDataError, NumericalError
-from .montecarlo import TrialPolicy
+from .montecarlo import TrialPolicy, resolve_workers
 
 __all__ = [
     "CSV_HEADER",
@@ -46,24 +46,34 @@ __all__ = [
     "write_curve_csv",
 ]
 
-CSV_HEADER = "scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged"
+
+def _float_repr(x):
+    return repr(float(x))
+
+
+# the CSV columns after ``scenario``, in order, as (CurvePoint field,
+# formatter); formatted by column, not by value type, since numpy scalars
+# print as np.float64(...) and fail isinstance checks against int and bool
+_CSV_COLUMNS = (
+    ("snr_db", _float_repr), ("rho", _float_repr),
+    ("trials", str), ("outages", str),
+    ("p_out", _float_repr), ("ci_low", _float_repr), ("ci_high", _float_repr),
+    ("converged", lambda flag: "true" if flag else "false"),
+)
+
+CSV_HEADER = ",".join(["scenario"] + [name for name, _ in _CSV_COLUMNS])
 
 # largest SNR grid `outage` accepts, checked before the grid is allocated
 _MAX_GRID_POINTS = 10_000
 
 
 def _worker_count(text):
-    """A positive worker count or ``auto``, as the type of ``--workers``."""
-    if text == "auto":
-        return text
+    """The process count that ``--workers`` (a positive int or ``auto``) names."""
     try:
-        count = int(text)
+        return resolve_workers(text if text == "auto" else int(text))
     except ValueError:
-        count = 0
-    if count < 1:
         raise argparse.ArgumentTypeError(
-            f"invalid positive int or 'auto' value: {text!r}")
-    return count
+            f"invalid positive int or 'auto' value: {text!r}") from None
 
 
 # flag, type (a tuple lists the allowed values), default, help
@@ -164,26 +174,13 @@ def _snr_grid(spec):
     return spec.snr_start + spec.snr_step * np.arange(int(steps) + 1)
 
 
-def _float_repr(x):
-    return repr(float(x))
-
-
 def write_curve_csv(curve, path):
     """Write a curve in the fixed CSV schema at full float precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")
         for pt in curve.points:
-            handle.write(",".join([
-                curve.scenario,
-                _float_repr(pt.snr_db),
-                _float_repr(pt.rho),
-                str(pt.trials),
-                str(pt.outages),
-                _float_repr(pt.p_out),
-                _float_repr(pt.ci_low),
-                _float_repr(pt.ci_high),
-                "true" if pt.converged else "false",
-            ]) + "\n")
+            cells = [fmt(getattr(pt, name)) for name, fmt in _CSV_COLUMNS]
+            handle.write(",".join([curve.scenario] + cells) + "\n")
 
 
 def cmd_predict(spec):
@@ -198,7 +195,7 @@ def cmd_predict(spec):
     return 0
 
 
-def _fit_report(spec, cfg, regime, curve, fit, verdict_line):
+def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
     converged_db = [pt.snr_db for pt in curve.points if pt.converged]
     lines = [
         "== outage fit report ==",
@@ -224,8 +221,8 @@ def _fit_report(spec, cfg, regime, curve, fit, verdict_line):
             f"points_used={fit.points_used} residual={fit.residual:.4f}")
         lines.append(
             f"fit window used: {fit.window_db[0]:g}..{fit.window_db[1]:g} dB "
-            f"(converged, p_out <= 0.1)")
-    lines.append(verdict_line)
+            f"(converged, p_out <= {window.p_max:g})")
+    lines.append(f"verdict: {verdict.upper()}: {detail}")
     lines.append("== machine-readable ==")
     kv = {
         "scenario": cfg.label(),
@@ -243,7 +240,7 @@ def _fit_report(spec, cfg, regime, curve, fit, verdict_line):
         "tight": str(regime.tight).lower(),
         "d_hat": "" if fit is None else repr(fit.d_hat),
         "points_used": 0 if fit is None else fit.points_used,
-        "verdict": verdict_line.split(":")[1].strip().lower(),
+        "verdict": verdict,
     }
     lines.extend(f"{key}={value}" for key, value in kv.items())
     return "\n".join(lines) + "\n"
@@ -281,29 +278,24 @@ def cmd_outage(spec):
                                       workers=spec.workers)
     write_curve_csv(curve, spec.out)
     print(f"wrote {spec.out} ({len(curve.points)} points)")
-    status = 0
+    window = diversity.FitWindow()
     try:
-        fit = diversity.fit_diversity_slope(curve)
+        fit = diversity.fit_diversity_slope(curve, window)
     except InsufficientDataError as exc:
-        fit = None
-        verdict = f"verdict: UNCONVERGED: {exc}"
-        status = 2
+        fit, verdict, detail = None, "unconverged", str(exc)
     else:
         lo = regime.diversity_low - spec.d_tolerance
         hi = regime.diversity_high + spec.d_tolerance
-        if lo <= fit.d_hat <= hi:
-            verdict = (f"verdict: PASS: d_hat={fit.d_hat:.4f} within "
-                       f"[{lo:g}, {hi:g}]")
-        else:
-            verdict = (f"verdict: FAIL: d_hat={fit.d_hat:.4f} outside "
-                       f"[{lo:g}, {hi:g}]")
-            status = 2
-    report = _fit_report(spec, cfg, regime, curve, fit, verdict)
+        inside = lo <= fit.d_hat <= hi
+        verdict = "pass" if inside else "fail"
+        detail = (f"d_hat={fit.d_hat:.4f} {'within' if inside else 'outside'} "
+                  f"[{lo:g}, {hi:g}]")
+    report = _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail)
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(report)
     print(report, end="")
     print(f"wrote {report_path}")
-    return status
+    return 0 if verdict == "pass" else 2
 
 
 def _run_checks(suite, spec):

@@ -211,7 +211,7 @@ def _inverse_diagonal(entries):
                     re[i, k] -= ur * re[j, k] + ui * im[j, k]
                     im[i, k] -= ur * im[j, k] - ui * re[j, k]
                 del ur, ui
-    recip = {k: 1.0 / piv[k] for k in range(min(1, m - 1), m - 1)}
+    recip = {k: 1.0 / piv[k] for k in range(1, m - 1)}
     recip[m - 1] = np.divide(1.0, piv[m - 1], out=piv[m - 1])
     for j in reversed(range(m - 1)):
         # entry (j, k) becomes -z_jk = w_jk - sum_l (w_jl / D_l) (-z_lk)

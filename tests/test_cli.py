@@ -9,7 +9,7 @@ import pytest
 import mmsediv
 from mmsediv import __version__, diversity
 from mmsediv.cli import CSV_HEADER, main, write_curve_csv
-from mmsediv.montecarlo import BinomialCurve, CurvePoint
+from mmsediv.montecarlo import BinomialCurve, CurvePoint, resolve_workers
 
 
 def run(args, capsys):
@@ -91,6 +91,21 @@ class TestCsvRoundTrip:
         assert back == curve.points
         header = path.read_text().splitlines()[0]
         assert header == CSV_HEADER
+
+    def test_numpy_scalars_written_by_column(self, tmp_path):
+        # the scalar types the estimators return; np.float64 reprs as
+        # np.float64(...) and np.int64/np.bool_ are not int/bool instances
+        point = CurvePoint(rho=np.float64(10.0 ** 0.25), snr_db=2.5,
+                           trials=np.int64(20000), outages=np.int64(17),
+                           p_out=17 / 20000, ci_low=np.float64(1e-05),
+                           ci_high=np.float64(0.1 + 0.2), converged=np.bool_(False))
+        path = tmp_path / "curve.csv"
+        write_curve_csv(BinomialCurve(scenario="flat-M2-N2-R3", points=[point]),
+                        path)
+        assert path.read_bytes() == (
+            b"scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged\n"
+            b"flat-M2-N2-R3,2.5,1.7782794100389228,20000,17,0.00085,1e-05,"
+            b"0.30000000000000004,false\n")
 
 
 class TestOutage:
@@ -189,7 +204,7 @@ class TestOutage:
         assert code1 == code2 == code_auto
         assert out1.read_bytes() == out2.read_bytes() == out_auto.read_bytes()
         report = (tmp_path / "wauto.csv.report.txt").read_text()
-        assert "workers: auto\n" in report
+        assert f"workers: {resolve_workers('auto')}\n" in report
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key,value", [("snr-stop", "inf"),
@@ -304,6 +319,19 @@ class TestConfigFile:
         code, _, err = run(["predict", "--config", str(cfg), "--rate", "1"],
                            capsys)
         assert code == 1
+
+    def test_file_workers_auto_reports_process_count(self, tmp_path, capsys):
+        cfg = tmp_path / "auto.cfg"
+        cfg.write_text("workers=auto\n")
+        code, _, _ = run(["outage", "--config", str(cfg), "--rate", "3",
+                          "--snr-start", "0", "--snr-stop", "10",
+                          "--snr-step", "5", "--max-trials", "2000",
+                          "--out", str(tmp_path / "auto.csv")], capsys)
+        assert code in (0, 2)
+        lines = (tmp_path / "auto.csv.report.txt").read_text().splitlines()
+        count = resolve_workers("auto")
+        assert f"workers: {count}" in lines
+        assert f"workers={count}" in lines
 
     def test_file_run_matches_flag_run(self, tmp_path, capsys):
         # every option key, with both spellings of the separator
