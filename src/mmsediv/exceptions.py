@@ -27,8 +27,13 @@ class NumericalHealthWarning(RuntimeWarning):
     """Roundoff produced values outside the expected numerical slack."""
 
 
+def _is_integer(value):
+    """An integer, numpy's too, but no bool: ``True`` is no count or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_integers(**values):
     """Raise `ConfigurationError` unless every value is an integer, numpy's too."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")

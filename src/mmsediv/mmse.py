@@ -187,8 +187,8 @@ def _inverse_diagonal(entries):
     piv, schur = rows[:m], {}
     re, im = dict(zip(pairs, rows[m:])), dict(zip(pairs, rows[m + len(pairs):]))
     for j in range(m):
-        # two reductions refuse NaN, +inf and nonpositive pivots; skipped when empty
-        if piv[j].size and not (piv[j].min() > 0.0 and piv[j].max() < np.inf):
+        # two reductions refuse NaN, +inf and nonpositive pivots
+        if not (piv[j].min() > 0.0 and piv[j].max() < np.inf):
             raise NumericalError("elimination hit a nonpositive or non-finite pivot")
         for i in range(j + 1, m):
             if m == 2:
@@ -272,24 +272,15 @@ def transfer_function(taps, n_bins):
     """Entrywise DFT of the zero-padded tap sequence: the per-bin reference.
 
     Maps (..., L, N, M) tap stacks to (..., K, N, M) per-bin channel
-    matrices, bin k holding ``sum_l taps[l] exp(-2i pi k l / K)``.  Direct
-    summation over the L taps; L is small in every intended use.  The
+    matrices, bin k holding ``sum_l taps[l] exp(-2i pi k l / K)``: the
+    K-point FFT along the tap axis, which zero-pads the L taps.  K is
+    checked first, as an FFT with K < L would truncate the taps.  The
     capacity path never forms these matrices (it works from the tap
     autocorrelation, see the module docstring); this function is the
     reference that per-bin checks of that path are built from.
     """
     taps = np.asarray(taps, dtype=complex)
-    n_bins = _check_block_length(taps.shape, n_bins)
-    n_taps = taps.shape[-3]
-    grid = np.outer(np.arange(n_taps), np.arange(n_bins))
-    twiddle = np.exp(-2j * np.pi * grid / n_bins)
-    lead = taps.shape[:-3]
-    n_rx, n_tx = taps.shape[-2:]
-    flat = taps.reshape(*lead, n_taps, n_rx * n_tx)
-    # single GEMM over the tap axis, then bins moved ahead of the entries
-    out = np.tensordot(flat, twiddle, axes=([-2], [0]))
-    out = np.moveaxis(out, -1, -2)
-    return out.reshape(*lead, n_bins, n_rx, n_tx)
+    return np.fft.fft(taps, n=_check_block_length(taps.shape, n_bins), axis=-3)
 
 
 def _tap_autocorrelation(taps):
@@ -480,11 +471,12 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
     taps = np.asarray(taps, dtype=complex)
     n_bins = _check_block_length(taps.shape, n_bins)
     *lead, n_taps, n_rx, m = taps.shape
+    # rho and scaling are checked here too: an empty stack makes no `_mse` call
+    noise_scaling(rho, m, n_taps, scaling)
     chunk = _capacity_chunk_size((n_taps, n_rx, m), n_bins)
     stack = taps.reshape(-1, n_taps, n_rx, m)
     cap = np.empty(len(stack))
-    # one entry at least, so that an empty stack has its arguments checked by a call
-    undecided = np.ones(max(len(stack), 1), dtype=bool)
+    undecided = np.ones(len(stack), dtype=bool)
     if rate is not None:
         # complex64 halves a realization's bytes: one float32 call takes two chunks
         for lo in range(0, len(stack), 2 * chunk):
@@ -492,7 +484,7 @@ def selective_capacity_batch(taps, rho, n_bins, scaling="per-tap", *, rate=None)
             cap[span], margin = _float32_capacity(stack[span], rho, n_bins, scaling)
             # not `<=`: a NaN rate leaves every realization undecided
             undecided[span] = ~(np.abs(cap[span] - rate) > margin)
-    for lo in range(0, len(undecided), chunk):
+    for lo in range(0, len(stack), chunk):
         if not undecided[lo:lo + chunk].any():
             continue
         part = stack[lo:lo + chunk]

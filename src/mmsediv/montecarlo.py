@@ -20,7 +20,6 @@ are merged into the calling process's count.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mmse
-from .exceptions import ConfigurationError, _require_integers
+from .exceptions import ConfigurationError, _is_integer, _require_integers
 from .randmat import derive_stream
 
 __all__ = [
@@ -137,7 +136,7 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
     """Event count of one block and the mmse clamp count it produced."""
     rng = derive_stream(master_seed, point_index, block_index)
     events, clamps = mmse.collect_health(kernel, rho, rng, n_trials)
-    if not (isinstance(events, numbers.Integral) and 0 <= events <= n_trials):
+    if not (_is_integer(events) and 0 <= events <= n_trials):
         raise ConfigurationError(
             f"kernel counted {events!r} events in {n_trials} trials at grid "
             f"point {point_index}, block {block_index}; need an integer in "
@@ -246,7 +245,7 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
     snr_db_grid : optional matching grid in dB; derived from rho if omitted.
     """
     policy = TrialPolicy() if policy is None else policy
-    if not isinstance(master_seed, numbers.Integral) or master_seed < 0:
+    if not _is_integer(master_seed) or master_seed < 0:
         raise ConfigurationError(
             f"master_seed must be a non-negative integer, got {master_seed!r}")
     rho = np.asarray(rho_grid, dtype=float)

@@ -87,12 +87,11 @@ def _draw_angle_arrays(order, rng, batch):
     for j in range(order):
         n = order - j
         phases.append(rng.uniform(0.0, _TWO_PI, size=(batch, n)))
-        if n > 1:
-            cols = [np.arccos(np.sqrt(rng.beta(1.0, float(n - i), size=batch)))
-                    for i in range(1, n)]
-            angles.append(np.stack(cols, axis=1))
-        else:
-            angles.append(np.empty((batch, 0)))
+        # the order-1 level takes the empty (batch, 0) array
+        level = np.empty((batch, n - 1))
+        for i in range(1, n):
+            level[:, i - 1] = np.arccos(np.sqrt(rng.beta(1.0, float(n - i), size=batch)))
+        angles.append(level)
     return phases, angles
 
 

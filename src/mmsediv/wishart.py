@@ -135,13 +135,12 @@ def log_density_unnormalized(eigenvalues, N):
         raise ValueError("density requires finite, strictly positive eigenvalues")
     iu = np.triu_indices(lam.size, k=1)
     gaps = np.abs(lam[:, None] - lam[None, :])[iu]
-    if lam.size > 1 and np.any(gaps == 0.0):
+    # at M = 1 there are no gaps, and their log sum adds 0.0
+    if np.any(gaps == 0.0):
         raise ValueError("density requires strictly distinct eigenvalues")
     power = N - lam.size
-    value = float(np.sum(power * np.log(lam) - lam))
-    if lam.size > 1:
-        value += float(2.0 * np.sum(np.log(gaps)))
-    return value
+    return (float(np.sum(power * np.log(lam) - lam))
+            + float(2.0 * np.sum(np.log(gaps))))
 
 
 def _trace(h):

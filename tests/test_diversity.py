@@ -213,8 +213,8 @@ class TestSystemConfig:
                 SystemConfig(**{"M": 2, "N": 2, "R": 1.0, field: 0})
 
     @pytest.mark.parametrize("field, value", [("M", 2.5), ("N", 3.5), ("L", 2.5),
-                                              ("K", 8.5), ("M", 2.0)],
-                             ids=["M", "N", "L", "K", "integral-float-M"])
+                                              ("K", 8.5), ("M", 2.0), ("M", True)],
+                             ids=["M", "N", "L", "K", "integral-float-M", "bool-M"])
     def test_rejects_non_integer_dimensions(self, field, value):
         dims = dict(M=2, N=3, L=2, K=8)
         with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
@@ -333,7 +333,7 @@ class TestEstimateOutage:
         with pytest.raises(ConfigurationError, match="snr_db grid must match"):
             estimate_binomial_curve(_all_events_kernel, [1.0, 2.0], snr_db_grid=[0.0])
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     @pytest.mark.parametrize("estimate", [
         lambda seed: estimate_outage(SystemConfig(M=2, N=2, R=1.0), [0.0, 5.0],
                                      master_seed=seed, workers=2),
@@ -359,7 +359,7 @@ class TestEstimateOutage:
         with pytest.raises(ConfigurationError, match="block_trials must be >= 1"):
             TrialPolicy(block_trials=0)
 
-    @pytest.mark.parametrize("workers", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("workers", [2.5, 2.0, "2", True])
     def test_rejects_non_integer_worker_count(self, monkeypatch, workers):
         def no_pool(*args, **kwargs):
             pytest.fail("a worker pool opened for an invalid worker count")
@@ -373,6 +373,9 @@ class TestEstimateOutage:
         code = ("import sys, mmsediv\n"
                 "loaded = lambda: 'multiprocessing' in sys.modules\n"
                 "assert not loaded(), 'import'\n"
+                # importing scipy.stats costs several times the whole of `import mmsediv`;
+                # only the CLI loads it
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
                 "mmsediv.tail_sum_probability(1, 1, 1, 1.0, [1.0], mmsediv.TrialPolicy(\n"
                 "    max_trials=100, target_events=1, block_trials=100))\n"
                 "assert not loaded(), 'one-worker sweep'\n")
@@ -397,8 +400,9 @@ class TestEstimateOutage:
 
     @pytest.mark.parametrize("field", ["max_trials", "target_events", "block_trials"])
     def test_policy_rejects_non_integer_counts(self, field):
-        with pytest.raises(ConfigurationError, match=field):
-            TrialPolicy(**{field: 2500.5})
+        for value in (2500.5, True):
+            with pytest.raises(ConfigurationError, match=field):
+                TrialPolicy(**{field: value})
 
     def test_policy_repr_is_unchanged(self):
         # benchmark count records are keyed on this repr
@@ -511,11 +515,15 @@ def _float_kernel(rho, rng, n_trials):
     return 0.5 * n_trials if rho > 1.0 else 0
 
 
+def _bool_kernel(rho, rng, n_trials):
+    return True if rho > 1.0 else 0
+
+
 class TestKernelCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kernel", [_overcounting_kernel, _negative_kernel,
-                                        _float_kernel],
-                             ids=["n+1", "-1", "float"])
+                                        _float_kernel, _bool_kernel],
+                             ids=["n+1", "-1", "float", "bool"])
     def test_bad_count_names_point_and_block(self, kernel, workers):
         # the first grid point counts 0 events; the second a bad count
         policy = TrialPolicy(max_trials=20, target_events=5, block_trials=10)

@@ -93,6 +93,11 @@ class TestFlatSinrs:
     def test_rejects_bad_rho(self):
         with pytest.raises(ConfigurationError):
             flat_sinrs(np.eye(2, dtype=complex), 0.0)
+        # an empty stack makes no capacity call, yet its rho is checked
+        for rate in (None, 1.0):
+            with pytest.raises(ConfigurationError, match="rho"):
+                selective_capacity_batch(np.zeros((0, 1, 2, 2), dtype=complex), 0.0, 1,
+                                         rate=rate)
 
 
 class TestSelectiveSinrs:
@@ -149,6 +154,10 @@ class TestSelectiveSinrs:
         taps = sample_complex_gaussian(2, 2, rng_for(15), size=2)
         with pytest.raises(ConfigurationError):
             selective_sinrs(taps, 1.0, 8, scaling="bogus")
+        for rate in (None, 1.0):
+            with pytest.raises(ConfigurationError, match="scaling"):
+                selective_capacity_batch(np.zeros((0, 2, 2, 2), dtype=complex), 1.0, 8,
+                                         scaling="bogus", rate=rate)
 
     def test_rejects_nonfinite_taps(self):
         taps = np.zeros((2, 2, 2), dtype=complex)
@@ -245,14 +254,18 @@ class TestBatchPaths:
         with pytest.raises(ConfigurationError, match=re.escape(f"got {shape}")):
             call(np.zeros(shape, dtype=complex), 5.0, 2)
 
-    def test_transfer_function_is_direct_dft(self):
-        taps = sample_complex_gaussian(2, 3, rng_for(32), size=4)
-        bins = 8
+    # zero padding, none (K = L), an odd K, a single tap and a stack of taps
+    @pytest.mark.parametrize("lead, n_taps, bins", [
+        ((), 4, 8), ((), 3, 3), ((), 2, 7), ((), 1, 5), ((5,), 3, 8),
+    ], ids=["L4-K8", "L3-K3", "L2-K7", "L1-K5", "stack-L3-K8"])
+    def test_transfer_function_is_direct_dft(self, lead, n_taps, bins):
+        taps = sample_complex_gaussian(2, 3, rng_for(32), size=(*lead, n_taps))
         freq = transfer_function(taps, bins)
+        assert freq.shape == (*lead, bins, 2, 3)
         for k in range(bins):
-            direct = sum(taps[ell] * np.exp(-2j * np.pi * k * ell / bins)
-                         for ell in range(4))
-            assert np.max(np.abs(freq[k] - direct)) <= 1e-12
+            direct = sum(taps[..., ell, :, :] * np.exp(-2j * np.pi * k * ell / bins)
+                         for ell in range(n_taps))
+            assert np.max(np.abs(freq[..., k, :, :] - direct)) <= 1e-12
 
 
 class TestSpdInverseDiagonal:

@@ -34,8 +34,9 @@ class TestComplexGaussian:
         c = sample_complex_gaussian(4, 2, derive_stream(123, 6))
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("args", [(1.5, 0), (1, 0.7), (1, 0, 2.0)],
-                             ids=["seed", "key", "later-key"])
+    @pytest.mark.parametrize("args", [(1.5, 0), (1, 0.7), (1, 0, 2.0), (True, 0),
+                                      (1, True)],
+                             ids=["seed", "key", "later-key", "bool-seed", "bool-key"])
     def test_derive_stream_rejects_non_integers(self, args):
         with pytest.raises(ConfigurationError, match="integer"):
             derive_stream(*args)
@@ -62,8 +63,10 @@ class TestComplexGaussian:
             sample_complex_gaussian(3, -1, rng_for(3))
 
     @pytest.mark.parametrize("args, size", [((3, 2.0), 2), ((2.5, 3), 2),
-                                            ((3, 2), 2.5), ((3, 2), (2, 1.0))],
-                             ids=["cols", "rows", "size", "size-tuple"])
+                                            ((3, 2), 2.5), ((3, 2), (2, 1.0)),
+                                            ((True, 2), 2), ((3, 2), True)],
+                             ids=["cols", "rows", "size", "size-tuple", "bool-rows",
+                                  "bool-size"])
     def test_rejects_non_integer_dimensions(self, args, size):
         with pytest.raises(ConfigurationError):
             sample_complex_gaussian(*args, rng_for(3), size=size)
@@ -152,8 +155,10 @@ class TestHaarSamplers:
         with pytest.raises(ConfigurationError):
             sample_haar_qr_oracle(0, rng_for(28))
 
-    @pytest.mark.parametrize("order, size", [(2.5, None), (2.0, None), (2, 3.0)],
-                             ids=["order", "integral-float-order", "size"])
+    @pytest.mark.parametrize("order, size", [(2.5, None), (2.0, None), (2, 3.0),
+                                             (True, None), (2, True)],
+                             ids=["order", "integral-float-order", "size", "bool-order",
+                                  "bool-size"])
     def test_rejects_non_integer_order_or_size(self, order, size):
         for sampler in (sample_haar_recursive, sample_haar_qr_oracle):
             with pytest.raises(ConfigurationError):

@@ -46,8 +46,9 @@ class TestSpectrumSampling:
         with pytest.raises(ConfigurationError):
             sample_spectra(3, 2, rng_for(5), 10)
 
-    @pytest.mark.parametrize("args", [(2.5, 3, 4), (2, 3.0, 4), (2, 3, 4.0)],
-                             ids=["M", "N", "n_draws"])
+    @pytest.mark.parametrize("args", [(2.5, 3, 4), (2, 3.0, 4), (2, 3, 4.0),
+                                      (2, 3, True)],
+                             ids=["M", "N", "n_draws", "bool-n_draws"])
     def test_rejects_non_integer_sizes(self, args):
         with pytest.raises(ConfigurationError):
             sample_spectra(*args[:2], rng_for(5), args[2])
@@ -400,8 +401,8 @@ class TestTailCurves:
 
     @pytest.mark.parametrize("args", [(2.5, 3, 1, 1.0), (2, 3.0, 1, 1.0),
                                       (2, 3, 1.5, 1.0), (2, 3, 1, np.nan),
-                                      (2, 3, 1, np.inf)],
-                             ids=["M", "N", "m", "b-nan", "b-inf"])
+                                      (2, 3, 1, np.inf), (2, 3, True, 1.0)],
+                             ids=["M", "N", "m", "b-nan", "b-inf", "bool-m"])
     def test_rejects_non_integer_dims_and_non_finite_threshold(self, args):
         for estimate in (tail_sum_probability, smallest_eigs_probability):
             with pytest.raises(ConfigurationError):
