@@ -29,7 +29,8 @@ def sweep(rate, grid, seed):
           f"{fit.window_db[0]:g}..{fit.window_db[1]:g} dB "
           f"({fit.points_used} points)")
     for pt in curve.points:
-        tag = "" if pt.converged else "  (unconverged)"
+        tag = {"converged": "", "capped": "  (unconverged)",
+               "skipped": "  (skipped)"}[pt.status]
         print(f"  {pt.snr_db:5.1f} dB  p_out = {pt.p_out:.3e}{tag}")
     return curve, fit
 

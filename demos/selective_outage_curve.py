@@ -28,7 +28,8 @@ def main():
     curve = estimate_outage(cfg, np.arange(0.0, 25.1, 2.5), policy=policy,
                             master_seed=2718, workers=2)
     for pt in curve.points:
-        tag = "" if pt.converged else "  (unconverged)"
+        tag = {"converged": "", "capped": "  (unconverged)",
+               "skipped": "  (skipped)"}[pt.status]
         print(f"  {pt.snr_db:5.1f} dB  p_out = {pt.p_out:.3e} "
               f"[{pt.ci_low:.2e}, {pt.ci_high:.2e}]{tag}")
 

@@ -24,7 +24,8 @@ def show(curve, label, predicted):
     print(f"\n{label}: fitted exponent {fit.d_hat:.3f} "
           f"(closed form {predicted})")
     for pt in curve.points:
-        tag = "" if pt.converged else "  (unconverged)"
+        tag = {"converged": "", "capped": "  (unconverged)",
+               "skipped": "  (skipped)"}[pt.status]
         print(f"  {pt.snr_db:5.1f} dB  p = {pt.p_out:.3e}{tag}")
     return fit
 

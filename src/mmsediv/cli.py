@@ -59,6 +59,7 @@ _CSV_COLUMNS = (
     ("trials", str), ("outages", str),
     ("p_out", _float_repr), ("ci_low", _float_repr), ("ci_high", _float_repr),
     ("converged", lambda flag: "true" if flag else "false"),
+    ("status", str),
 )
 
 CSV_HEADER = ",".join(["scenario"] + [name for name, _ in _CSV_COLUMNS])
@@ -197,6 +198,7 @@ def cmd_predict(spec):
 
 def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
     converged_db = [pt.snr_db for pt in curve.points if pt.converged]
+    skipped_db = [pt.snr_db for pt in curve.points if pt.skipped]
     lines = [
         "== outage fit report ==",
         f"scenario: {cfg.label()}",
@@ -215,6 +217,13 @@ def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
                      f"({converged_db[0]:g}..{converged_db[-1]:g} dB)")
     else:
         lines.append("converged points: none")
+    if skipped_db:
+        capped_db = next(pt.snr_db for pt in curve.points if pt.status == "capped")
+        lines.append(f"skipped points: {len(skipped_db)} "
+                     f"({skipped_db[0]:g}..{skipped_db[-1]:g} dB), "
+                     f"past the first capped point at {capped_db:g} dB")
+    else:
+        lines.append("skipped points: none")
     if fit is not None:
         lines.append(
             f"fit: d_hat={fit.d_hat:.4f} intercept={fit.intercept:.4f} "
@@ -240,6 +249,7 @@ def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
         "tight": str(regime.tight).lower(),
         "d_hat": "" if fit is None else repr(fit.d_hat),
         "points_used": 0 if fit is None else fit.points_used,
+        "skipped_points": len(skipped_db),
         "verdict": verdict,
     }
     lines.extend(f"{key}={value}" for key, value in kv.items())

@@ -225,6 +225,10 @@ def estimate_outage(cfg, snr_grid_db, policy=None, master_seed=0, workers=1):
     `_BLOCK_DRAW_BYTES` of taps (`_count_below`).  Capacities are screened
     in float32 against R and re-decided in float64 near it, so every
     outage decision, and with it every count, equals the float64 one.
+    Each realization's MMSE SINRs rise with rho, so the outage probability
+    falls along the grid; every point past the first capped one keeps only
+    its block 0 and is reported as skipped unless that block meets the
+    target (`mmsediv.montecarlo`).
     Given (cfg, grid, policy, master_seed) the returned curve is
     bit-identical for any worker count.
     The grid is checked as ``rho = 10^(dB/10)`` by `estimate_binomial_curve`.

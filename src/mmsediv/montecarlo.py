@@ -5,17 +5,33 @@ draws all of its randomness from a generator keyed by
 ``(master_seed, g, i)``, and each point consumes its blocks in index order,
 so the estimate is bit-reproducible for any worker count and any
 scheduling.  A grid point stops after the first block in which the
-cumulative event count reaches the target (or when the trial budget is
-exhausted) and reports a Wilson 95% confidence interval.
+cumulative event count reaches the target, or caps when its trial budget
+is exhausted, and reports a Wilson 95% confidence interval.
+
+Along the grid the event probability does not rise (the contract of
+`estimate_binomial_curve`), so once a point caps no later point can reach
+the target within the same budget.  Every point past the first capped one
+is given up: it keeps only its block 0 and, unless that block alone
+reaches the target, is reported as skipped.  Block 0 stays because every
+point runs it anyway: a skipped point still has at least one block of
+trials and a valid Wilson interval, exactly as block 0 gives them.  Which
+points are skipped is decided from consumed blocks only, so results stay
+a deterministic function of the per-point block counts.  A point's result
+becomes final once it and every earlier point have stopped.
 
 One scheduler runs the whole grid with at most ``workers`` blocks in
-flight.  A free worker takes a sure block if there is one: the next block
-of the lowest unfinished point with none in flight, which that point needs
-whatever its earlier blocks return.  Otherwise it takes the next block of
-the lowest unfinished point speculatively; blocks past a point's stopping
-block are dropped, errors included.  Each block also returns the count of
-`mmse` clamps it produced (`mmse.numerical_health`); only consumed blocks
-are merged into the calling process's count.
+flight.  A free worker takes a sure block if there is one: block 0 of any
+point, or the next block of an open point with none in flight while every
+earlier open point is on course.  A point is on course while its consumed
+events, scaled to its full block budget, reach the target
+(``events * n_blocks >= target * consumed``).  Otherwise the worker takes
+the next block of the lowest open point speculatively.  On a curve where
+no point falls behind, this is the plain lowest-idle-point-first order.
+Blocks that a point does not keep, past its stopping block or past block
+0 of a skipped point, are dropped, errors included.  Each block also
+returns the count of `mmse` clamps it produced (`mmse.numerical_health`);
+only the blocks a final result keeps are merged into the calling
+process's count.
 """
 
 from __future__ import annotations
@@ -95,7 +111,11 @@ class TrialPolicy:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One grid point of an estimated event-probability curve."""
+    """One grid point of an estimated event-probability curve.
+
+    ``converged`` means the point reached its event target; ``skipped``
+    that it came after the first capped point and kept only block 0.
+    """
 
     rho: float
     snr_db: float
@@ -105,6 +125,14 @@ class CurvePoint:
     ci_low: float
     ci_high: float
     converged: bool
+    skipped: bool = False
+
+    @property
+    def status(self):
+        """``"converged"``, ``"skipped"`` or ``"capped"``."""
+        if self.converged:
+            return "converged"
+        return "skipped" if self.skipped else "capped"
 
 
 @dataclass
@@ -146,44 +174,98 @@ def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
 
 @dataclass(eq=False)
 class _PointRun:
-    """Counts of one grid point; its blocks ``consumed .. launched - 1`` are
-    in flight or done ahead of an earlier block, in ``results``."""
+    """Counts of one grid point: ``(events, clamps)`` of each consumed block
+    in ``blocks``, and its blocks ``consumed .. launched - 1``, in flight or
+    done ahead of an earlier block, in ``results``.  A point past a capped
+    one needs its block 0 only."""
 
     index: int
     launched: int = 0
     consumed: int = 0
     events: int = 0
+    past_cap: bool = False
+    blocks: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
 
 
-def _next_run(open_runs, n_blocks):
-    """Point of the next block to launch, sure before speculative; or None."""
-    idle = (run for run in open_runs if run.launched == run.consumed)
-    spare = (run for run in open_runs if run.launched < n_blocks)
-    return next(idle, None) or next(spare, None)
+def _next_run(open_runs, n_blocks, target):
+    """Point of the next block to launch, sure before speculative; or None.
+
+    Block i >= 1 of a point is launched only while every earlier open point
+    is on course; block 0 always is.
+    """
+    spare, on_course = None, True
+    for run in open_runs:
+        if run.launched < (1 if run.past_cap else n_blocks):
+            if run.launched == 0 or (on_course and run.launched == run.consumed):
+                return run
+            if on_course and spare is None:
+                spare = run
+        on_course = on_course and run.events * n_blocks >= target * run.consumed
+    return spare
 
 
 def _run_inline(fn, *args):
     """``fn(*args)`` as a finished future.  With one worker every block is
-    sure, so its error may propagate at once."""
+    the next one of the lowest open point, so its error may propagate at
+    once."""
     future = Future()
     future.set_result(fn(*args))
     return future
 
 
+def _consume(run, runs, open_runs, n_blocks, target):
+    """Take ``run``'s finished blocks in index order until it stops.
+
+    A block >= 1 that raised is left pending while an earlier point is
+    open, since that point may cap and make the block one to drop.
+    """
+    while run in open_runs and run.consumed in run.results:
+        future = run.results[run.consumed]
+        if run.consumed and run is not open_runs[0] and future.exception():
+            return
+        count, clamps = run.results.pop(run.consumed).result()
+        run.consumed += 1
+        run.events += count
+        run.blocks.append((count, clamps))
+        if run.events >= target or run.consumed == (1 if run.past_cap else n_blocks):
+            open_runs.remove(run)
+            if run.events < target:  # capped: every later point keeps block 0 only
+                for later in runs[run.index + 1:]:
+                    later.past_cap = True
+                    if later.consumed and later in open_runs:
+                        open_runs.remove(later)
+
+
+def _final_point(run, rho, snr_db, policy):
+    """The point ``run`` reports, its kept clamps merged."""
+    kept = run.blocks[:1] if run.past_cap else run.blocks
+    for _, clamps in kept:
+        mmse.merge_health(clamps)
+    cap, target = policy.max_trials, policy.target_events
+    g, k = run.index, sum(count for count, _ in kept)
+    n = min(cap, len(kept) * policy.block_trials)
+    return CurvePoint(float(rho[g]), float(snr_db[g]), n, k, k / n,
+                      *wilson_interval(k, n), converged=k >= target,
+                      skipped=run.past_cap and k < target and n < cap)
+
+
 def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
     """Points of the whole grid, with at most ``n_workers`` blocks in flight.
 
-    ``open_runs`` holds every unfinished point in index order, from the
-    start.  A point with no block launched is idle and `_next_run` takes
-    the first idle point, so the points start in index order.
+    ``open_runs`` holds, in index order, every point that still needs a
+    block.  After each completion the open points consume their finished
+    blocks in index order, so a cap reaches every later point in the same
+    pass; then every stopped point whose earlier points are final is made
+    final.
     """
     size, cap, target = policy.block_trials, policy.max_trials, policy.target_events
     n_blocks = -(-cap // size)
-    points = [None] * rho.size
-    open_runs, in_flight = [_PointRun(g) for g in range(rho.size)], {}
-    while open_runs:
-        while len(in_flight) < n_workers and (run := _next_run(open_runs, n_blocks)):
+    runs = [_PointRun(g) for g in range(rho.size)]
+    open_runs, in_flight, points = list(runs), {}, []
+    while len(points) < rho.size:
+        while len(in_flight) < n_workers and (
+                run := _next_run(open_runs, n_blocks, target)):
             g, i = run.index, run.launched
             run.launched += 1
             # block i holds min(block_trials, max_trials - i * block_trials) trials
@@ -194,18 +276,10 @@ def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
         for future in finished:
             run, i = in_flight.pop(future)
             run.results[i] = future
-            # consume strictly in block order, so worker count cannot matter;
-            # results past the stopping block are dropped, errors included
-            while run in open_runs and run.consumed in run.results:
-                count, clamps = run.results.pop(run.consumed).result()
-                run.consumed += 1
-                run.events += count
-                mmse.merge_health(clamps)
-                if run.events >= target or run.consumed == n_blocks:
-                    open_runs.remove(run)
-                    g, n, k = run.index, min(cap, run.consumed * size), run.events
-                    points[g] = CurvePoint(float(rho[g]), float(snr_db[g]), n, k, k / n,
-                                           *wilson_interval(k, n), converged=k >= target)
+        for run in list(open_runs):
+            _consume(run, runs, open_runs, n_blocks, target)
+        while len(points) < rho.size and runs[len(points)] not in open_runs:
+            points.append(_final_point(runs[len(points)], rho, snr_db, policy))
     return points
 
 
@@ -223,23 +297,32 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
                             workers=1, scenario="", snr_db_grid=None):
     """Estimate an event-probability curve over a grid of SNR values.
 
+    The event probability must not rise along the grid.  Each point stops
+    at the event target or caps at ``max_trials``; every point past the
+    first capped one is given up after its block 0 and, unless that block
+    reaches the target, reported as skipped (module docstring).  Up to and
+    including the first capped point, the counts are those of a sweep
+    without the give-up.
+
     Parameters
     ----------
     kernel : callable
         ``kernel(rho, rng, n) -> int`` counting events among ``n``
         independent trials drawn from ``rng``: an integer ``count`` with
         ``0 <= count <= n``, else `ConfigurationError` names the grid point
-        and the block.  Must be picklable when ``workers > 1``.
+        and the block.  Its event rate must not rise with ``rho``.  Must be
+        picklable when ``workers > 1``.
     rho_grid : 1-D array of strictly increasing positive linear SNRs.
     policy : TrialPolicy, optional
     master_seed : int
         Non-negative root of all per-block streams; echoed on the returned
         curve.
     workers : int or "auto"
-        Number of processes; the result is identical for every value.  Up
-        to ``workers`` blocks of the whole grid run at once, sure blocks
-        before speculative ones (module docstring); one worker runs every
-        block inline, in the calling process.
+        Number of processes; the result, skipped points included, is
+        identical for every value.  Up to ``workers`` blocks of the whole
+        grid run at once, sure blocks before speculative ones (module
+        docstring); one worker runs every block inline, in the calling
+        process.
     scenario : str
         Label stored with the curve (and written to CSV exports).
     snr_db_grid : optional matching grid in dB; derived from rho if omitted.

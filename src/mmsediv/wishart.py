@@ -199,7 +199,10 @@ def tail_sum_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
 
     Same adaptive stopping, confidence intervals and seeding contract as
     `mmsediv.diversity.estimate_outage`; the fitted log-log slope of the
-    returned curve estimates the decay exponent m (N - M + m).
+    returned curve estimates the decay exponent m (N - M + m).  The
+    threshold b/rho falls along the grid, and with it the probability, so
+    every point past the first capped one keeps only its block 0 and is
+    reported as skipped unless that block meets the target.
     """
     return _tail_curve("sum", _sum_statistic, M, N, m, b, rho_grid, policy,
                        master_seed, workers)
@@ -213,7 +216,8 @@ def smallest_eigs_probability(M, N, m, b, rho_grid, policy=None, master_seed=0,
     ``lambda_m <= b / rho``: they differ only at ``lambda_m = b / rho``,
     which has probability zero.  That the m smallest eigenvalues all fall
     below b/rho is the event on the m-th one alone; its decay exponent is
-    m (N - M + m).
+    m (N - M + m).  Stopping, seeding and skipped points are as in
+    `tail_sum_probability`.
     """
     return _tail_curve("min", _mth_statistic, M, N, m, b, rho_grid, policy,
                        master_seed, workers)

@@ -74,8 +74,8 @@ class TestCsvRoundTrip:
         points = [CurvePoint(rho=10.0 ** (db / 10.0), snr_db=db, trials=12345,
                              outages=67, p_out=67 / 12345,
                              ci_low=0.004197531, ci_high=0.0069135802,
-                             converged=db < 20)
-                  for db in (0.0, 2.5, 17.5, 30.0)]
+                             converged=db < 20, skipped=db > 20)
+                  for db in (0.0, 2.5, 17.5, 25.0, 30.0)]
         curve = BinomialCurve(scenario="flat-M2-N2-R3", points=points,
                               master_seed=7)
         path = tmp_path / "curve.csv"
@@ -86,9 +86,11 @@ class TestCsvRoundTrip:
                            trials=int(row["trials"]), outages=int(row["outages"]),
                            p_out=float(row["p_out"]), ci_low=float(row["ci_low"]),
                            ci_high=float(row["ci_high"]),
-                           converged={"true": True, "false": False}[row["converged"]])
+                           converged={"true": True, "false": False}[row["converged"]],
+                           skipped=row["status"] == "skipped")
                 for row in rows]
         assert back == curve.points
+        assert [row["status"] for row in rows] == ["converged"] * 3 + ["skipped"] * 2
         header = path.read_text().splitlines()[0]
         assert header == CSV_HEADER
 
@@ -103,9 +105,9 @@ class TestCsvRoundTrip:
         write_curve_csv(BinomialCurve(scenario="flat-M2-N2-R3", points=[point]),
                         path)
         assert path.read_bytes() == (
-            b"scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged\n"
+            b"scenario,snr_db,rho,trials,outages,p_out,ci_low,ci_high,converged,status\n"
             b"flat-M2-N2-R3,2.5,1.7782794100389228,20000,17,0.00085,1e-05,"
-            b"0.30000000000000004,false\n")
+            b"0.30000000000000004,false,capped\n")
 
 
 class TestOutage:
@@ -125,6 +127,23 @@ class TestOutage:
         assert "scaling: per-tap" in report
         assert "d_hat=" in report
         assert "verdict: PASS" in stdout
+
+    def test_points_past_the_first_cap_are_reported_skipped(self, tmp_path, capsys):
+        # 10 dB sees about 40 events in 200,000 trials and caps
+        out = tmp_path / "skip.csv"
+        code, stdout, _ = run([
+            "outage", "--M", "2", "--N", "2", "--rate", "1.2",
+            "--snr-start", "0", "--snr-stop", "15", "--snr-step", "2.5",
+            "--max-trials", "200000", "--target-events", "100",
+            "--d-tolerance", "10", "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert [row["status"] for row in rows] == ["converged"] * 4 + [
+            "capped", "skipped", "skipped"]
+        assert [row["trials"] for row in rows[-2:]] == ["100000", "100000"]
+        assert ("skipped points: 2 (12.5..15 dB), past the first capped point "
+                "at 10 dB\n") in stdout
+        assert "skipped_points=2\n" in stdout
 
     def test_degenerate_grid_exits_1(self, tmp_path, capsys):
         code, _, err = run([

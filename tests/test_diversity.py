@@ -573,9 +573,23 @@ def _later_blocks_raise_kernel(rho, rng, n_trials):
     return n_trials
 
 
+def _skipped_blocks_raise_kernel(rho, rng, n_trials):
+    """No event at rho = 1, which caps; at rho = 2 one event in block 0 and
+    every later block raises."""
+    if rho == 2.0 and rng.bit_generator.seed_seq.spawn_key[1] > 0:
+        raise RuntimeError("a block past block 0 of a skipped point ran")
+    return 0 if rho == 1.0 else 1
+
+
 def _rising_rate_kernel(rho, rng, n_trials):
     """Event rate 1e-3, 1e-2, 1e-1 at rho = 1, 2, 3: the first point caps."""
     return int(np.count_nonzero(rng.random(n_trials) < 10.0 ** (rho - 4.0)))
+
+
+def _last_block_kernel(rho, rng, n_trials):
+    """Two events per block at rho = 1, so a target of 20 in 10 blocks is met
+    in the last one; otherwise `_rising_rate_kernel`."""
+    return 2 if rho == 1.0 else _rising_rate_kernel(rho, rng, n_trials)
 
 
 def _scripted_kernel(rho, rng, n_trials):
@@ -583,36 +597,70 @@ def _scripted_kernel(rho, rng, n_trials):
     return min({1.0: 0, 2.0: 3, 3.0: n_trials}[rho], n_trials)
 
 
+def _on_course_kernel(rho, rng, n_trials):
+    """2 events per block at rho = 1 (a target of 5 in block 2 of 4), 3 at
+    rho = 2, every trial at rho = 3: no point caps or falls behind."""
+    return min({1.0: 2, 2.0: 3, 3.0: n_trials}[rho], n_trials)
+
+
+def _scripted_sweep(monkeypatch, kernel, rho, policy, workers, master_seed=0,
+                    script=(2, 0, 1)):
+    """`montecarlo._sweep` with blocks run inline at launch and completed in a
+    scripted order: by default the third, first, second, ... pending block,
+    counted in launch order.  Returns the launched ``(g, i)`` and the points."""
+    completed, launched = [], []
+
+    def submit(fn, *args):
+        launched.append(args[3:5])  # (g, i)
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # held in the future, as a pool does
+            future.set_exception(exc)
+        return future
+
+    def scripted_wait(futures, return_when):
+        pending = list(futures)
+        done = pending[script[len(completed) % len(script)] % len(pending)]
+        completed.append(done)
+        return {done}, set(pending) - {done}
+
+    monkeypatch.setattr(montecarlo, "wait", scripted_wait)
+    rho = np.asarray(rho, dtype=float)
+    points = montecarlo._sweep(kernel, rho, 10.0 * np.log10(rho), policy,
+                               master_seed, submit, workers)
+    return launched, points
+
+
 class TestSweepScheduler:
     @pytest.mark.parametrize("workers, launches", [
-        (1, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0)]),
-        (2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 3)]),
-        # block 2 of point 1 runs speculatively and is dropped
-        (3, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]),
+        (1, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0)]),
+        # point 0 is behind from its block 0 on, so block 1 of point 1 waits
+        (2, [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (0, 3)]),
+        (3, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)]),
     ])
     def test_launch_sequence_is_pinned(self, monkeypatch, workers, launches):
-        # blocks complete in a scripted order: the third, first, second, ...
-        # pending block, counted in launch order
-        script, completed, launched = [2, 0, 1], [], []
-
-        def submit(fn, *args):
-            launched.append(args[3:5])  # (g, i)
-            return montecarlo._run_inline(fn, *args)
-
-        def scripted_wait(futures, return_when):
-            pending = list(futures)
-            done = pending[script[len(completed) % len(script)] % len(pending)]
-            completed.append(done)
-            return {done}, set(pending) - {done}
-
-        monkeypatch.setattr(montecarlo, "wait", scripted_wait)
         policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
-        rho = np.array([1.0, 2.0, 3.0])
-        points = montecarlo._sweep(_scripted_kernel, rho, 10.0 * np.log10(rho),
-                                   policy, 0, submit, workers)
+        launched, points = _scripted_sweep(monkeypatch, _scripted_kernel,
+                                           [1.0, 2.0, 3.0], policy, workers)
         assert launched == launches
-        counts = [(pt.trials, pt.outages) for pt in points]
-        assert counts == [(40, 0), (20, 6), (10, 10)]
+        counts = [(pt.trials, pt.outages, pt.status) for pt in points]
+        assert counts == [(40, 0, "capped"), (10, 3, "skipped"), (10, 10, "converged")]
+
+    @pytest.mark.parametrize("workers, launches", [
+        (1, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]),
+        (2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 3)]),
+        # block 3 of point 0 and block 2 of point 1 run speculatively and are dropped
+        (3, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]),
+    ])
+    def test_launch_sequence_without_a_cap_is_unchanged(self, monkeypatch, workers,
+                                                        launches):
+        # the sequences of the scheduler before points past a cap were given up
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        launched, points = _scripted_sweep(monkeypatch, _on_course_kernel,
+                                           [1.0, 2.0, 3.0], policy, workers)
+        assert launched == launches
+        assert [(pt.trials, pt.outages) for pt in points] == [(30, 6), (20, 6), (10, 10)]
 
     def test_discarded_block_errors_are_dropped(self):
         # with two workers block 1 runs speculatively and raises
@@ -623,26 +671,81 @@ class TestSweepScheduler:
         assert curves[0].points == curves[1].points
         assert curves[0].points[0].trials == 10
 
+    def test_errors_past_block_0_of_a_skipped_point_are_dropped(self, monkeypatch):
+        # with more workers block 1 of point 1 can run, and finish, before
+        # point 0 falls behind or caps
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        curves = [estimate_binomial_curve(_skipped_blocks_raise_kernel, [1.0, 2.0],
+                                          policy=policy, workers=workers).points
+                  for workers in (1, 2, 3)]
+        # the last pending block first: block 1 of point 1 finishes before
+        # block 0 of point 0
+        curves += [_scripted_sweep(monkeypatch, _skipped_blocks_raise_kernel,
+                                   [1.0, 2.0], policy, workers, script=script)[1]
+                   for workers in (2, 3) for script in ((2, 0, 1), (-1,))]
+        assert all(curve == curves[0] for curve in curves[1:])
+        assert [(pt.trials, pt.outages, pt.status) for pt in curves[0]] == [
+            (40, 0, "capped"), (10, 1, "skipped")]
+
     def test_points_finishing_out_of_order_keep_their_counts(self):
-        # point 0 runs to its cap while points 1 and 2 converge beside it
+        # point 0 converges in its last block while points 1 and 2 converge
+        # beside it
         policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
-        curves = [estimate_binomial_curve(_rising_rate_kernel, [1.0, 2.0, 3.0],
+        curves = [estimate_binomial_curve(_last_block_kernel, [1.0, 2.0, 3.0],
                                           policy=policy, master_seed=11,
                                           workers=workers)
                   for workers in (1, 2, 3)]
-        assert [pt.converged for pt in curves[0].points] == [False, True, True]
-        assert curves[0].points[0].trials == policy.max_trials
+        assert [pt.converged for pt in curves[0].points] == [True, True, True]
+        assert (curves[0].points[0].trials, curves[0].points[0].outages) == (5000, 20)
         assert curves[0].points == curves[1].points == curves[2].points
+
+    def test_points_past_the_first_cap_keep_block_0(self, monkeypatch):
+        # point 0 caps; under a rising rate points 1 and 2 would converge in
+        # later blocks and point 3 converges in its block 0
+        policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
+        grid = [1.0, 1.5, 2.0, 3.0]
+        curves = [estimate_binomial_curve(_rising_rate_kernel, grid, policy=policy,
+                                          master_seed=11, workers=workers).points
+                  for workers in (1, 2, 3)]
+        curves += [_scripted_sweep(monkeypatch, _rising_rate_kernel, grid, policy,
+                                   workers, master_seed=11)[1]
+                   for workers in (1, 2, 3)]
+        points = curves[0]
+        assert all(curve == points for curve in curves[1:])
+        assert [pt.status for pt in points] == ["capped", "skipped", "skipped",
+                                                "converged"]
+        assert points[0].trials == policy.max_trials
+        for g, pt in enumerate(points[1:], start=1):
+            block_0 = montecarlo._block_events(_rising_rate_kernel, grid[g], 11, g, 0,
+                                               policy.block_trials)[0]
+            assert (pt.trials, pt.outages) == (policy.block_trials, block_0)
+            assert (pt.ci_low, pt.ci_high) == wilson_interval(block_0, policy.block_trials)
 
     def test_sure_block_beats_speculative(self):
         run = montecarlo._PointRun
-        busy = run(0, launched=2, consumed=1)    # block 1 in flight
-        idle = run(1, launched=1, consumed=1)    # needs block 1
-        full = run(0, launched=4, consumed=2)    # every block launched
-        assert montecarlo._next_run([busy, idle], n_blocks=4) is idle
-        assert montecarlo._next_run([busy], n_blocks=4) is busy
-        assert montecarlo._next_run([full, busy], n_blocks=4) is busy
-        assert montecarlo._next_run([full], n_blocks=4) is None
+        busy = run(0, launched=2, consumed=1, events=1)    # block 1 in flight
+        idle = run(1, launched=1, consumed=1)              # needs block 1
+        full = run(0, launched=4, consumed=2, events=2)    # every block launched
+        assert montecarlo._next_run([busy, idle], n_blocks=4, target=4) is idle
+        assert montecarlo._next_run([busy], n_blocks=4, target=4) is busy
+        assert montecarlo._next_run([full, busy], n_blocks=4, target=4) is busy
+        assert montecarlo._next_run([full], n_blocks=4, target=4) is None
+
+    def test_point_behind_holds_back_later_blocks(self):
+        # on course: events * n_blocks >= target * consumed
+        run = montecarlo._PointRun
+        behind = run(0, launched=2, consumed=1)            # no event in block 0
+        ahead = run(0, launched=2, consumed=1, events=1)   # 1 * 4 >= 4 * 1
+        idle = run(1, launched=1, consumed=1)              # needs block 1
+        fresh = run(2)                                     # needs block 0
+        # the spare worker takes the next block of the lowest open point
+        assert montecarlo._next_run([behind, idle], n_blocks=4, target=4) is behind
+        assert montecarlo._next_run([behind, idle, fresh], n_blocks=4,
+                                    target=4) is fresh
+        assert montecarlo._next_run([ahead, idle], n_blocks=4, target=4) is idle
+        # a point past a capped one needs its block 0 only
+        assert montecarlo._next_run([run(1, launched=1, past_cap=True)], n_blocks=4,
+                                    target=4) is None
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_never_more_than_workers_blocks_in_flight(self, monkeypatch, workers):
@@ -657,6 +760,14 @@ class TestSweepScheduler:
         estimate_binomial_curve(_rising_rate_kernel, [1.0, 2.0, 3.0],
                                 policy=policy, workers=workers)
         assert max(in_flight) == workers
+
+
+def _clamping_give_up_kernel(rho, rng, n_trials):
+    """Each block clamps one SINR beyond the slack.  Every trial is an event at
+    rho = 1 and 4; none at rho = 2, which caps; 3 per block at rho = 3, which
+    would meet a target of 5 in its block 1."""
+    mmse._sinrs_from_mse(np.array([1.0 + 1e-9, 0.5]))
+    return min({1.0: n_trials, 2.0: 0, 3.0: 3, 4.0: n_trials}[rho], n_trials)
 
 
 class TestSweepNumericalHealth:
@@ -701,6 +812,28 @@ class TestSweepNumericalHealth:
         assert delta == {"clamped_beyond_slack": 3}
         assert sum(issubclass(w.category, NumericalHealthWarning)
                    for w in record) == 3
+
+    @pytest.mark.filterwarnings("ignore::mmsediv.NumericalHealthWarning")
+    def test_give_up_merges_only_kept_clamps(self, monkeypatch):
+        # blocks >= 1 of point 2 may run and be consumed before point 1 caps; the
+        # give-up drops them, and their clamps with them
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        grid = [1.0, 2.0, 3.0, 4.0]
+        runs = [lambda workers=workers: estimate_binomial_curve(
+                    _clamping_give_up_kernel, grid, policy=policy,
+                    workers=workers).points
+                for workers in (1, 2, 3)]
+        runs += [lambda workers=workers: _scripted_sweep(
+                     monkeypatch, _clamping_give_up_kernel, grid, policy, workers)[1]
+                 for workers in (1, 2, 3)]
+        # the scripted runs patch `montecarlo.wait`, so they come last
+        results = [self._delta(run) for run in runs]
+        assert all(result == results[0] for result in results[1:])
+        points, delta = results[0]
+        assert [(pt.trials, pt.outages, pt.status) for pt in points] == [
+            (10, 10, "converged"), (40, 0, "capped"), (10, 3, "skipped"),
+            (10, 10, "converged")]
+        assert delta == {"clamped_beyond_slack": 7}  # one per kept block
 
 
 class TestFitDiversitySlope:
