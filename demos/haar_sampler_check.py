@@ -13,8 +13,8 @@ Run:
 import numpy as np
 from scipy import stats
 
-from mmsediv import (derive_stream, sample_haar_qr_oracle,
-                     sample_haar_recursive, unitarity_residual)
+from mmsediv import derive_stream, sample_haar_recursive
+from mmsediv.randmat import sample_haar_qr_oracle, unitarity_residual
 
 DRAWS = 50_000
 

@@ -16,13 +16,11 @@ from .diversity import (FitWindow, RateRegime, SlopeFit, SystemConfig,
 from .exceptions import (ApplicabilityError, BoundaryRateError,
                          ConfigurationError, InsufficientDataError,
                          NumericalError, NumericalHealthWarning)
-from .mmse import (selective_capacity_batch, selective_sinrs,
-                   selective_sinrs_oracle, transfer_function)
+from .mmse import selective_capacity_batch, selective_sinrs
 from .montecarlo import (BinomialCurve, CurvePoint, TrialPolicy,
                          estimate_binomial_curve, wilson_interval)
 from .randmat import (derive_stream, sample_complex_gaussian,
-                      sample_haar_qr_oracle, sample_haar_recursive,
-                      unitarity_residual)
+                      sample_haar_recursive)
 from .wishart import (log_density_unnormalized, sample_spectra,
                       smallest_eigs_probability, tail_sum_probability)
 
@@ -47,15 +45,11 @@ __all__ = [
     "log_density_unnormalized",
     "resolve_rate_regime",
     "sample_complex_gaussian",
-    "sample_haar_qr_oracle",
     "sample_haar_recursive",
     "sample_spectra",
     "selective_capacity_batch",
     "selective_sinrs",
-    "selective_sinrs_oracle",
     "smallest_eigs_probability",
     "tail_sum_probability",
-    "transfer_function",
-    "unitarity_residual",
     "wilson_interval",
 ]

@@ -24,10 +24,11 @@ path runs with a single bin.  The public API has no flat route either: a
 flat (N, M) channel ``H`` is the one-tap stack ``H[None]`` of
 `selective_sinrs` and `selective_capacity_batch`, with block length 1.
 
-`transfer_function` (the per-bin DFT ``H(k)``) is kept as the public
-per-bin reference.  `selective_sinrs_oracle` is an independent
-time-domain cross-check of both: it builds the explicit block-circulant
-channel operator itself and inverts its regularized Gram matrix.
+`transfer_function` (the per-bin DFT ``H(k)``) is the per-bin reference.
+`selective_sinrs_oracle` is an independent time-domain cross-check of
+both: it builds the explicit block-circulant channel operator itself and
+inverts its regularized Gram matrix.  The package namespace leaves both
+references out; import them from this module.
 
 Two conventions for the scaling constant ``c`` in ``I + c H^H H`` are
 supported for selective channels: ``"per-tap"`` uses ``rho / (M * L)``
@@ -90,7 +91,6 @@ __all__ = [
     "selective_capacity_batch",
     "selective_sinrs",
     "selective_sinrs_oracle",
-    "transfer_function",
 ]
 
 SCALING_CONVENTIONS = ("per-tap", "paper")

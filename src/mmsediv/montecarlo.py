@@ -284,8 +284,11 @@ def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
 
 
 def resolve_workers(workers):
-    """Normalize a worker-count request ('auto'/None -> cpu count)."""
+    """Normalize a worker-count request ('auto'/None -> usable CPU count)."""
     if workers in (None, "auto"):
+        # the affinity mask, where the OS has one, bounds the CPUs in reach
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     _require_integers(workers=workers)
     if workers < 1:

@@ -3,8 +3,9 @@
 Provides the channel sampler (i.i.d. circularly-symmetric complex Gaussian
 entries), a recursive angular construction of Haar-distributed unitary
 matrices (diagonal phase matrices interleaved with chains of Givens
-rotations), and an independent QR-based Haar sampler used to cross-validate
-the recursion statistically.
+rotations), and two references that cross-validate the recursion: an
+independent QR-based Haar sampler and a unitarity residual.  The package
+namespace leaves the references out; import them from this module.
 
 All samplers are pure functions of an explicit ``numpy.random.Generator``;
 none of them keeps internal state.  For reproducible parallel use, derive

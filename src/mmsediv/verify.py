@@ -4,7 +4,7 @@ Each suite runs a handful of statistical and structural invariants at a
 desk-scale sample size and returns one `CheckResult` per invariant.  The
 full-strength versions of these checks (larger draws, tighter windows)
 live in the package's test suite; these are quick operational smoke
-checks.
+checks.  Only `verify_haar` loads scipy, for its KS test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import mmse, randmat, wishart
 
@@ -41,6 +40,7 @@ def _moment_check(samples_sq, order):
 
 def verify_haar(seed=0):
     """Unitarity, moment symmetry and sampler agreement for Haar unitaries."""
+    from scipy import stats
     results = []
     for order in (2, 3, 4):
         rng = randmat.derive_stream(seed, order)

@@ -13,12 +13,12 @@ import numpy as np
 from mmsediv import (FitWindow, SystemConfig, TrialPolicy, derive_stream,
                      estimate_outage, fit_diversity_slope,
                      resolve_rate_regime, sample_complex_gaussian,
-                     sample_haar_qr_oracle, sample_haar_recursive,
-                     selective_sinrs, selective_sinrs_oracle,
-                     smallest_eigs_probability, tail_sum_probability,
-                     unitarity_residual)
+                     sample_haar_recursive, selective_sinrs,
+                     smallest_eigs_probability, tail_sum_probability)
 from mmsediv.cli import main as cli_main
 from mmsediv.exceptions import ApplicabilityError, BoundaryRateError
+from mmsediv.mmse import selective_sinrs_oracle
+from mmsediv.randmat import sample_haar_qr_oracle, unitarity_residual
 from scipy import stats
 
 

@@ -18,13 +18,18 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_module(args):
-    """Run ``python -m mmsediv.cli`` with this package first on the path."""
+def run_python(*args):
+    """Run a fresh interpreter with this package first on the path."""
     src = os.path.dirname(os.path.dirname(mmsediv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "mmsediv.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(args):
+    """Run ``python -m mmsediv.cli``."""
+    return run_python("-m", "mmsediv.cli", *args)
 
 
 class TestPredict:
@@ -439,6 +444,19 @@ class TestModuleEntry:
         proc = run_module(args)
         assert proc.returncode == code
         assert text in (proc.stdout if code == 0 else proc.stderr)
+
+    def test_only_verify_haar_loads_scipy(self):
+        # importing scipy.stats takes most of a `predict` run's start-up
+        code = ("import sys\n"
+                "from mmsediv.cli import main\n"
+                "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "assert not scipy(), 'import'\n"
+                "for args in (['predict', '--rate', '3'], ['verify-sinr'],\n"
+                "             ['verify-wishart']):\n"
+                "    assert main(args) == 0, args\n"
+                "    assert not scipy(), args\n")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsageErrors:

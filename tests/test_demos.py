@@ -57,6 +57,18 @@ def test_exported_names_resolve(name):
     assert not missing
 
 
+@pytest.mark.parametrize("module, names", [
+    ("mmsediv.mmse", ["selective_sinrs_oracle", "transfer_function"]),
+    ("mmsediv.randmat", ["sample_haar_qr_oracle", "unitarity_residual"]),
+])
+def test_references_stay_out_of_the_package_namespace(module, names):
+    # tests, self-checks and the benchmark reach them through their module
+    module = importlib.import_module(module)
+    for name in names:
+        assert name not in mmsediv.__all__ and not hasattr(mmsediv, name)
+        assert callable(getattr(module, name))
+
+
 def test_benchmark_layer_spans_resolve():
     # `Tracer` skips an attribute that no longer resolves, so a layer whose
     # every attribute is gone would read 0 in the benchmark without an error

@@ -374,7 +374,7 @@ class TestEstimateOutage:
                 "loaded = lambda: 'multiprocessing' in sys.modules\n"
                 "assert not loaded(), 'import'\n"
                 # importing scipy.stats costs several times the whole of `import mmsediv`;
-                # only the CLI loads it
+                # only `verify-haar` loads it
                 "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
                 "mmsediv.tail_sum_probability(1, 1, 1, 1.0, [1.0], mmsediv.TrialPolicy(\n"
                 "    max_trials=100, target_events=1, block_trials=100))\n"
@@ -397,6 +397,15 @@ class TestEstimateOutage:
         resolved = montecarlo.resolve_workers(workers)
         assert type(resolved) is int and resolved >= 1
         assert count is None or resolved == count
+
+    def test_auto_counts_the_cpus_the_process_may_use(self, monkeypatch):
+        # `os.cpu_count()` ignores the affinity mask: under `taskset -c 0` it
+        # still counts every CPU of the host
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert montecarlo.resolve_workers("auto") == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+        assert montecarlo.resolve_workers("auto") == 8
 
     @pytest.mark.parametrize("field", ["max_trials", "target_events", "block_trials"])
     def test_policy_rejects_non_integer_counts(self, field):

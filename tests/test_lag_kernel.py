@@ -19,8 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmsediv import (SystemConfig, derive_stream, diversity, mmse,
-                     sample_complex_gaussian, selective_capacity_batch,
-                     transfer_function)
+                     sample_complex_gaussian, selective_capacity_batch)
+from mmsediv.mmse import transfer_function
 
 REALIZATIONS = 3
 

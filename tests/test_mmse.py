@@ -6,9 +6,9 @@ import pytest
 
 from mmsediv import (ConfigurationError, NumericalError, NumericalHealthWarning,
                      derive_stream, sample_complex_gaussian,
-                     selective_capacity_batch, selective_sinrs,
-                     selective_sinrs_oracle, transfer_function)
+                     selective_capacity_batch, selective_sinrs)
 from mmsediv import mmse as mmse_mod
+from mmsediv.mmse import selective_sinrs_oracle, transfer_function
 
 
 def rng_for(*key):

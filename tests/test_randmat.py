@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from mmsediv import (ConfigurationError, derive_stream, sample_complex_gaussian,
-                     sample_haar_qr_oracle, sample_haar_recursive,
-                     unitarity_residual)
+                     sample_haar_recursive)
+from mmsediv.randmat import sample_haar_qr_oracle, unitarity_residual
 
 
 def rng_for(*key):
