@@ -199,6 +199,7 @@ def cmd_predict(spec):
 def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
     converged_db = [pt.snr_db for pt in curve.points if pt.converged]
     skipped_db = [pt.snr_db for pt in curve.points if pt.skipped]
+    clamps = sum(pt.clamps for pt in curve.points)
     lines = [
         "== outage fit report ==",
         f"scenario: {cfg.label()}",
@@ -224,6 +225,7 @@ def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
                      f"past the first capped point at {capped_db:g} dB")
     else:
         lines.append("skipped points: none")
+    lines.append(f"SINRs clamped beyond the roundoff slack: {clamps}")
     if fit is not None:
         lines.append(
             f"fit: d_hat={fit.d_hat:.4f} intercept={fit.intercept:.4f} "
@@ -250,6 +252,7 @@ def _fit_report(spec, cfg, regime, curve, window, fit, verdict, detail):
         "d_hat": "" if fit is None else repr(fit.d_hat),
         "points_used": 0 if fit is None else fit.points_used,
         "skipped_points": len(skipped_db),
+        "clamped_beyond_slack": clamps,
         "verdict": verdict,
     }
     lines.extend(f"{key}={value}" for key, value in kv.items())

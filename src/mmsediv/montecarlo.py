@@ -19,23 +19,36 @@ points are skipped is decided from consumed blocks only, so results stay
 a deterministic function of the per-point block counts.  A point's result
 becomes final once it and every earlier point have stopped.
 
-One scheduler runs the whole grid with at most ``workers`` blocks in
-flight.  A free worker takes a sure block if there is one: block 0 of any
-point, or the next block of an open point with none in flight while every
-earlier open point is on course.  A point is on course while its consumed
-events, scaled to its full block budget, reach the target
-(``events * n_blocks >= target * consumed``).  Otherwise the worker takes
-the next block of the lowest open point speculatively.  On a curve where
+One scheduler runs the whole grid.  A free worker takes a sure block if
+there is one: block 0 of any point, or the next block of an open point
+with none in flight while every earlier open point is on course.  A point
+is on course while its consumed events, scaled to its full block budget,
+reach the target (``events * n_blocks >= target * consumed``).  Otherwise
+the worker takes the next block of the lowest open point speculatively.  On a curve where
 no point falls behind, this is the plain lowest-idle-point-first order.
 Blocks that a point does not keep, past its stopping block or past block
 0 of a skipped point, are dropped, errors included.  Each block also
 returns the count of `mmse` clamps it produced (`mmse.numerical_health`);
 only the blocks a final result keeps are merged into the calling
-process's count.
+process's count and reported as the point's ``clamps``.
+
+One worker runs every block inline, one at a time.  More workers share one
+process-wide pool, opened at the first multi-worker sweep and kept for the
+next; a sweep with another worker count shuts it down and opens its own, a
+sweep that breaks it drops it, and it is shut down at interpreter exit.
+Such a sweep keeps ``workers + 1`` blocks in flight: the one in reserve
+waits in the pool's queue, so a worker that finishes a block starts the
+next at once instead of waiting for the calling process.  At the end of a
+sweep, its blocks still queued are cancelled and those running are waited
+for, so none runs into the next sweep.  The workers are forked once, at
+the first multi-worker sweep, so a kernel must not depend on module state
+that changes after that point.  The pool serves one sweep at a time: two
+threads must not run multi-worker sweeps at once.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
@@ -115,6 +128,8 @@ class CurvePoint:
 
     ``converged`` means the point reached its event target; ``skipped``
     that it came after the first capped point and kept only block 0.
+    ``clamps`` counts the SINRs its kept blocks clamped beyond the roundoff
+    slack (`mmse.numerical_health`).
     """
 
     rho: float
@@ -126,6 +141,7 @@ class CurvePoint:
     ci_high: float
     converged: bool
     skipped: bool = False
+    clamps: int = 0
 
     @property
     def status(self):
@@ -247,39 +263,46 @@ def _final_point(run, rho, snr_db, policy):
     n = min(cap, len(kept) * policy.block_trials)
     return CurvePoint(float(rho[g]), float(snr_db[g]), n, k, k / n,
                       *wilson_interval(k, n), converged=k >= target,
-                      skipped=run.past_cap and k < target and n < cap)
+                      skipped=run.past_cap and k < target and n < cap,
+                      clamps=sum(clamps for _, clamps in kept))
 
 
-def _sweep(kernel, rho, snr_db, policy, master_seed, submit, n_workers):
-    """Points of the whole grid, with at most ``n_workers`` blocks in flight.
+def _sweep(kernel, rho, snr_db, policy, master_seed, submit, max_in_flight):
+    """Points of the whole grid, with at most ``max_in_flight`` blocks in flight.
 
     ``open_runs`` holds, in index order, every point that still needs a
     block.  After each completion the open points consume their finished
     blocks in index order, so a cap reaches every later point in the same
     pass; then every stopped point whose earlier points are final is made
-    final.
+    final.  On return or error, blocks still queued are cancelled and those
+    running are waited for; their results and errors are dropped.
     """
     size, cap, target = policy.block_trials, policy.max_trials, policy.target_events
     n_blocks = -(-cap // size)
     runs = [_PointRun(g) for g in range(rho.size)]
     open_runs, in_flight, points = list(runs), {}, []
-    while len(points) < rho.size:
-        while len(in_flight) < n_workers and (
-                run := _next_run(open_runs, n_blocks, target)):
-            g, i = run.index, run.launched
-            run.launched += 1
-            # block i holds min(block_trials, max_trials - i * block_trials) trials
-            future = submit(_block_events, kernel, rho[g], master_seed, g, i,
-                            min(size, cap - i * size))
-            in_flight[future] = run, i
-        finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-        for future in finished:
-            run, i = in_flight.pop(future)
-            run.results[i] = future
-        for run in list(open_runs):
-            _consume(run, runs, open_runs, n_blocks, target)
-        while len(points) < rho.size and runs[len(points)] not in open_runs:
-            points.append(_final_point(runs[len(points)], rho, snr_db, policy))
+    try:
+        while len(points) < rho.size:
+            while len(in_flight) < max_in_flight and (
+                    run := _next_run(open_runs, n_blocks, target)):
+                g, i = run.index, run.launched
+                run.launched += 1
+                # block i holds min(block_trials, max_trials - i * block_trials) trials
+                future = submit(_block_events, kernel, rho[g], master_seed, g, i,
+                                min(size, cap - i * size))
+                in_flight[future] = run, i
+            finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in finished:
+                run, i = in_flight.pop(future)
+                run.results[i] = future
+            for run in list(open_runs):
+                _consume(run, runs, open_runs, n_blocks, target)
+            while len(points) < rho.size and runs[len(points)] not in open_runs:
+                points.append(_final_point(runs[len(points)], rho, snr_db, policy))
+    finally:
+        for future in in_flight:
+            if not future.cancel():
+                future.exception()  # waits for the block to end
     return points
 
 
@@ -313,8 +336,10 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         ``kernel(rho, rng, n) -> int`` counting events among ``n``
         independent trials drawn from ``rng``: an integer ``count`` with
         ``0 <= count <= n``, else `ConfigurationError` names the grid point
-        and the block.  Its event rate must not rise with ``rho``.  Must be
-        picklable when ``workers > 1``.
+        and the block.  Its event rate must not rise with ``rho``.  When
+        ``workers > 1`` it must be picklable, and it runs in workers forked
+        at the process's first multi-worker sweep: module state changed
+        after that point does not reach it.
     rho_grid : 1-D array of strictly increasing positive linear SNRs.
     policy : TrialPolicy, optional
     master_seed : int
@@ -322,10 +347,12 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         curve.
     workers : int or "auto"
         Number of processes; the result, skipped points included, is
-        identical for every value.  Up to ``workers`` blocks of the whole
-        grid run at once, sure blocks before speculative ones (module
-        docstring); one worker runs every block inline, in the calling
-        process.
+        identical for every value.  One worker runs every block inline, in
+        the calling process.  More run the blocks of the whole grid, sure
+        blocks before speculative ones, in the process-wide pool, which
+        stays open for the next sweep; one block more than ``workers``
+        waits in its queue.  The sweep returns or raises only once none of
+        its blocks is queued or running (module docstring).
     scenario : str
         Label stored with the curve (and written to CSV exports).
     snr_db_grid : optional matching grid in dB; derived from rho if omitted.
@@ -348,16 +375,40 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         if snr_db.shape != rho.shape:
             raise ConfigurationError("snr_db grid must match the rho grid")
     n_workers = resolve_workers(workers)
-    # one worker runs every block inline: no pool starts, nothing is pickled,
-    # and `multiprocessing` is never imported
-    pool = None
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-    try:
-        points = _sweep(kernel, rho, snr_db, policy, master_seed,
-                        pool.submit if pool else _run_inline, n_workers)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)  # waits for running blocks only
+    if n_workers == 1:
+        # no pool starts, nothing is pickled, and `multiprocessing` is never imported
+        points = _sweep(kernel, rho, snr_db, policy, master_seed, _run_inline, 1)
+    else:
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            points = _sweep(kernel, rho, snr_db, policy, master_seed,
+                            _worker_pool(n_workers).submit, n_workers + 1)
+        except BrokenProcessPool:
+            _close_pool()
+            raise
     return BinomialCurve(scenario=scenario, points=points, master_seed=master_seed)
+
+
+_pool = None  # (worker count, ProcessPoolExecutor): the process-wide pool
+
+
+def _worker_pool(n_workers):
+    """The process-wide pool of ``n_workers`` workers, opened on first use.
+
+    A pool of another size is shut down first, so at most one is alive.
+    """
+    global _pool
+    if _pool is None or _pool[0] != n_workers:
+        _close_pool()
+        from concurrent.futures import ProcessPoolExecutor
+        _pool = n_workers, ProcessPoolExecutor(max_workers=n_workers)
+    return _pool[1]
+
+
+@atexit.register
+def _close_pool():
+    """Shut the process-wide pool down, if one is open, and join its workers."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(cancel_futures=True)

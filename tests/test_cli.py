@@ -178,7 +178,7 @@ class TestOutage:
             points = [CurvePoint(rho=10.0 ** (db / 10.0), snr_db=float(db),
                                  trials=10 ** 6, outages=10 ** (5 - k),
                                  p_out=10.0 ** (-1 - k), ci_low=0.0, ci_high=1.0,
-                                 converged=True)
+                                 converged=True, clamps=k)
                       for k, db in enumerate(grid)]
             return BinomialCurve(scenario=cfg.label(), points=points)
 
@@ -189,7 +189,10 @@ class TestOutage:
             "--out", str(tmp_path / "f.csv")], capsys)
         assert code == 2
         assert "verdict: FAIL: d_hat=2.0000 outside [0.5, 1.5]" in stdout
-        assert "verdict=fail" in (tmp_path / "f.csv.report.txt").read_text()
+        # the report adds up the clamps of the five points, 0 + 1 + 2 + 3 + 4
+        assert "SINRs clamped beyond the roundoff slack: 10\n" in stdout
+        report = (tmp_path / "f.csv.report.txt").read_text()
+        assert "verdict=fail" in report and "clamped_beyond_slack=10\n" in report
 
     def test_unconverged_run_exits_2(self, tmp_path, capsys):
         # a tiny trial budget deep in the tail cannot converge any point

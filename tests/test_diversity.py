@@ -1,9 +1,13 @@
 import concurrent.futures
+import functools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ from mmsediv import (ApplicabilityError, BinomialCurve, BoundaryRateError,
                      sample_complex_gaussian, wilson_interval)
 from mmsediv import diversity, mmse, montecarlo, wishart
 from mmsediv.wishart import smallest_eigs_probability, tail_sum_probability
+
+
+def _run_child(code):
+    """Run ``code`` in a fresh interpreter that imports this `mmsediv`; its stdout."""
+    src = os.path.dirname(os.path.dirname(mmsediv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def make_curve(rhos, ps, trials=10 ** 6, converged=True, scenario="synthetic"):
@@ -379,12 +394,7 @@ class TestEstimateOutage:
                 "mmsediv.tail_sum_probability(1, 1, 1, 1.0, [1.0], mmsediv.TrialPolicy(\n"
                 "    max_trials=100, target_events=1, block_trials=100))\n"
                 "assert not loaded(), 'one-worker sweep'\n")
-        src = os.path.dirname(os.path.dirname(mmsediv.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, env=env, timeout=60)
-        assert child.returncode == 0, child.stderr
+        _run_child(code)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_refused(self, workers):
@@ -758,6 +768,7 @@ class TestSweepScheduler:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_never_more_than_workers_blocks_in_flight(self, monkeypatch, workers):
+        # a pool holds one block in reserve beyond its workers; inline, one runs
         in_flight = []
 
         def counting_wait(futures, **kwargs):
@@ -768,7 +779,101 @@ class TestSweepScheduler:
         policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
         estimate_binomial_curve(_rising_rate_kernel, [1.0, 2.0, 3.0],
                                 policy=policy, workers=workers)
-        assert max(in_flight) == workers
+        assert max(in_flight) == (workers + 1 if workers > 1 else 1)
+
+
+_TEST_PID = os.getpid()  # forked workers keep the value of the test process
+
+
+def _pid_kernel(rho, rng, n_trials):
+    """Counts the id of the process that runs the block as its events."""
+    return os.getpid()
+
+
+def _exit_kernel(rho, rng, n_trials):
+    """Ends the worker process that runs it, without cleanup."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return 0
+
+
+def _marking_kernel(directory, rho, rng, n_trials):
+    """Block 0 at rho = 1 raises at once; every other block leaves a file in
+    ``directory`` as it starts and another as it ends, 0.2 s later."""
+    if rho == 1.0:
+        raise RuntimeError("a kept block failed")
+    name = os.path.join(directory, f"{rho}-{rng.bit_generator.seed_seq.spawn_key[1]}")
+    open(name + ".start", "w").close()
+    time.sleep(0.2)
+    open(name + ".end", "w").close()
+    return 0
+
+
+def _pid_sweep(workers, n_points=8):
+    """Ids of the processes that ran a sweep's blocks, one block per point."""
+    policy = TrialPolicy(max_trials=2**31, target_events=1, block_trials=2**31)
+    curve = estimate_binomial_curve(_pid_kernel, np.arange(1.0, n_points + 1),
+                                    policy=policy, workers=workers)
+    return {pt.outages for pt in curve.points}
+
+
+def _live_workers():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestWorkerPool:
+    def test_consecutive_sweeps_share_their_workers(self):
+        first = _pid_sweep(2)
+        workers = _live_workers()
+        assert len(workers) == 2 and _TEST_PID not in workers
+        assert first | _pid_sweep(2) <= workers
+        assert _live_workers() == workers
+
+    def test_another_worker_count_replaces_the_pool(self):
+        _pid_sweep(2)
+        ran = _pid_sweep(3)
+        workers = _live_workers()
+        assert len(workers) == 3 and ran <= workers
+
+    def test_broken_pool_is_replaced(self):
+        policy = TrialPolicy(max_trials=5000, target_events=20, block_trials=500)
+        grid = [1.0, 1.5, 2.0, 3.0]
+        fresh = estimate_binomial_curve(_rising_rate_kernel, grid, policy=policy,
+                                        master_seed=11, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            estimate_binomial_curve(_exit_kernel, [1.0, 2.0], workers=2)
+        again = estimate_binomial_curve(_rising_rate_kernel, grid, policy=policy,
+                                        master_seed=11, workers=2)
+        assert again.points == fresh.points
+        assert len(_live_workers()) == 2
+
+    def test_failed_sweep_leaves_no_block_behind(self, tmp_path):
+        policy = TrialPolicy(max_trials=40, target_events=5, block_trials=10)
+        kernel = functools.partial(_marking_kernel, str(tmp_path))
+        with pytest.raises(RuntimeError, match="a kept block failed"):
+            estimate_binomial_curve(kernel, [1.0, 2.0, 3.0], policy=policy, workers=2)
+        started = sorted(path.stem for path in tmp_path.glob("*.start"))
+        # nothing still runs, and nothing still queued starts in the next sweep
+        assert started == sorted(path.stem for path in tmp_path.glob("*.end"))
+        _pid_sweep(2)
+        assert sorted(path.stem for path in tmp_path.glob("*.start")) == started
+
+    def test_no_worker_outlives_its_program(self):
+        code = ("import multiprocessing, mmsediv\n"
+                "mmsediv.tail_sum_probability(2, 2, 1, 1.0, [1.0, 2.0], mmsediv.TrialPolicy(\n"
+                "    max_trials=4000, target_events=10, block_trials=1000), workers=2)\n"
+                "print(*[child.pid for child in multiprocessing.active_children()])\n")
+        pids = [int(pid) for pid in _run_child(code).split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        for pid in pids:
+            while True:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, f"worker {pid} outlived its program"
+                time.sleep(0.05)
 
 
 def _clamping_give_up_kernel(rho, rng, n_trials):
@@ -843,6 +948,50 @@ class TestSweepNumericalHealth:
             (10, 10, "converged"), (40, 0, "capped"), (10, 3, "skipped"),
             (10, 10, "converged")]
         assert delta == {"clamped_beyond_slack": 7}  # one per kept block
+        assert [pt.clamps for pt in points] == [1, 4, 1, 1]
+
+
+_GOLDEN_CURVES = {
+    # the first capped point at 10 dB, so 15 dB is skipped
+    "flat": (lambda workers: estimate_outage(
+        SystemConfig(M=2, N=2, R=1.2), [0.0, 5.0, 10.0, 15.0],
+        policy=TrialPolicy(max_trials=40_000, target_events=50, block_trials=10_000),
+        master_seed=7, workers=workers),
+        [(10_000, 2883, "converged"), (10_000, 114, "converged"),
+         (40_000, 13, "capped"), (10_000, 0, "skipped")]),
+    # two points for at least three blocks in flight: block 1 of 5 dB is
+    # launched before any block returns, and dropped, as 5 dB stops in block 0
+    "A1 link": (lambda workers: estimate_outage(
+        SystemConfig(M=2, N=2, R=3.0, L=2, K=64), [5.0, 10.0],
+        policy=TrialPolicy(max_trials=8_000, target_events=100, block_trials=1_000),
+        master_seed=8, workers=workers),
+        [(1_000, 737, "converged"), (2_000, 135, "converged")]),
+    "smallest eigenvalue": (lambda workers: smallest_eigs_probability(
+        2, 3, 1, 1.0, [1.0, 10.0, 100.0],
+        policy=TrialPolicy(max_trials=40_000, target_events=50, block_trials=5_000),
+        master_seed=9, workers=workers),
+        [(5_000, 2599, "converged"), (5_000, 63, "converged"),
+         (40_000, 6, "capped")]),
+}
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_GOLDEN_CURVES))
+    def test_counts_are_pinned(self, monkeypatch, name, workers):
+        next_run, launched = montecarlo._next_run, []
+
+        def counting_next_run(*args):
+            run = next_run(*args)
+            launched.append(run is not None)
+            return run
+
+        monkeypatch.setattr(montecarlo, "_next_run", counting_next_run)
+        estimate, counts = _GOLDEN_CURVES[name]
+        points = estimate(workers).points
+        assert [(pt.trials, pt.outages, pt.status) for pt in points] == counts
+        if name == "A1 link" and workers == 3:
+            assert sum(launched) > sum(-(-pt.trials // 1_000) for pt in points)
 
 
 class TestFitDiversitySlope:
