@@ -153,27 +153,11 @@ class CurvePoint:
 
 @dataclass
 class BinomialCurve:
-    """Event-probability estimates over an SNR grid, one point per row."""
+    """Event-probability estimates over an SNR grid: a `CurvePoint` per
+    grid point, in grid order, under a ``scenario`` label."""
 
     scenario: str
     points: list
-    master_seed: int | None = None
-
-    def column(self, name):
-        """Per-point field as a numpy array (e.g. 'rho', 'p_out')."""
-        return np.asarray([getattr(pt, name) for pt in self.points])
-
-    @property
-    def snr_db(self):
-        return self.column("snr_db")
-
-    @property
-    def p_out(self):
-        return self.column("p_out")
-
-    @property
-    def converged(self):
-        return self.column("converged")
 
 
 def _block_events(kernel, rho, master_seed, point_index, block_index, n_trials):
@@ -343,8 +327,7 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
     rho_grid : 1-D array of strictly increasing positive linear SNRs.
     policy : TrialPolicy, optional
     master_seed : int
-        Non-negative root of all per-block streams; echoed on the returned
-        curve.
+        Non-negative root of every per-block stream (module docstring).
     workers : int or "auto"
         Number of processes; the result, skipped points included, is
         identical for every value.  One worker runs every block inline, in
@@ -386,7 +369,7 @@ def estimate_binomial_curve(kernel, rho_grid, policy=None, master_seed=0,
         except BrokenProcessPool:
             _close_pool()
             raise
-    return BinomialCurve(scenario=scenario, points=points, master_seed=master_seed)
+    return BinomialCurve(scenario=scenario, points=points)
 
 
 _pool = None  # (worker count, ProcessPoolExecutor): the process-wide pool

@@ -81,8 +81,7 @@ class TestCsvRoundTrip:
                              ci_low=0.004197531, ci_high=0.0069135802,
                              converged=db < 20, skipped=db > 20)
                   for db in (0.0, 2.5, 17.5, 25.0, 30.0)]
-        curve = BinomialCurve(scenario="flat-M2-N2-R3", points=points,
-                              master_seed=7)
+        curve = BinomialCurve(scenario="flat-M2-N2-R3", points=points)
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         rows = read_csv_rows(path)

@@ -3,11 +3,14 @@
 The demos are the main callers of the public API outside the tests, so a
 trimmed or renamed name shows up here first.  Importing a demo runs no
 sweep: each one keeps its work behind a ``__main__`` guard and imports
-``matplotlib`` only inside ``main``.  The benchmark's layer timing reaches
-the library through module attributes too, so every layer it times must
-keep one attribute that resolves.
+``matplotlib`` only inside ``main``.  The rows of ``demos/reproduce.py``
+run here on a shrunk trial policy, which checks what a row prints without
+the full report's sweeps.  The benchmark's layer timing reaches the
+library through module attributes too, so every layer it times must keep
+one attribute that resolves.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -33,7 +36,8 @@ def load_file(path):
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 5
+    assert {p.stem for p in DEMOS} == {"haar_sampler_check",
+                                       "rate_regime_tables", "reproduce"}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
@@ -46,6 +50,29 @@ def test_rate_regime_tables_runs(capsys):
     out = capsys.readouterr().out
     assert "flat fading, M=2, N=2" in out
     assert "cyclic prefix, M=2, N=2, L=2, K=8" in out
+
+
+@pytest.mark.parametrize("name, prediction, fit", [
+    # 5 and 7.5 dB converge below p_out = 0.05; 10 dB caps
+    ("flat 2x2, R = 1.2", "m=2, diversity=4 (tight)",
+     "unconverged: slope fit needs at least 3 eligible points, found 2"),
+    ("sum tail, M = N = 2, m = 1, b = 1", "m(N-M+m) = 1", "d_hat = "),
+], ids=["outage", "tail"])
+def test_reproduce_row_prints_every_point(name, prediction, fit, tmp_path,
+                                          monkeypatch, capsys):
+    report = load_file(ROOT / "demos" / "reproduce.py")
+    case = next(case for case in report.CASES if case.name == name)
+    case = dataclasses.replace(case, policy=mmsediv.TrialPolicy(
+        max_trials=20_000, target_events=10, block_trials=2_000))
+    monkeypatch.chdir(tmp_path)
+    report.row(case)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [name, f"  prediction: {prediction}"]
+    assert lines[3].startswith(f"  {fit}")
+    assert [line.split(" dB ")[0].strip() for line in lines[4:]] == [
+        f"{db:.1f}" for db in case.grid_db]
+    assert lines[-1].endswith("(skipped)")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["mmsediv", *MODULES])

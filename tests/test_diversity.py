@@ -41,7 +41,7 @@ def make_curve(rhos, ps, trials=10 ** 6, converged=True, scenario="synthetic"):
                          p_out=float(p), ci_low=0.0, ci_high=1.0,
                          converged=converged)
               for r, p in zip(rhos, ps)]
-    return BinomialCurve(scenario=scenario, points=points, master_seed=0)
+    return BinomialCurve(scenario=scenario, points=points)
 
 
 def resolve(M, N, R, L=1, K=1):
@@ -327,14 +327,6 @@ class TestEstimateOutage:
             assert pt.p_out == pt.outages / pt.trials
             assert pt.ci_low <= pt.p_out <= pt.ci_high
             assert pt.converged == (pt.outages >= policy.target_events)
-
-    def test_curve_columns_follow_points(self):
-        curve = make_curve([10.0, 100.0], [0.1, 0.01])
-        curve.points += make_curve([1000.0], [0.0], converged=False).points
-        assert np.array_equal(curve.column("rho"), [10.0, 100.0, 1000.0])
-        assert np.array_equal(curve.snr_db, [pt.snr_db for pt in curve.points])
-        assert np.array_equal(curve.p_out, [0.1, 0.01, 0.0])
-        assert curve.converged.tolist() == [True, True, False]
 
     def test_rejects_bad_grid(self):
         cfg = SystemConfig(M=2, N=2, R=1.0)
